@@ -3,6 +3,7 @@ exact leaf/cherry/bud statistics for random tree growth chains."""
 
 from .chain import (
     DEFAULT_SEED,
+    AffineSlope,
     LinearSlope,
     ModelSpec,
     PlaneOrientedSlope,
@@ -28,6 +29,7 @@ from .dist import (
     log_mgf,
     pmf,
     pmf_advance,
+    pmf_snapshots,
     pmf_start,
     pressure_estimators,
     tail_log_prob,

@@ -5,20 +5,26 @@ otherwise, starting from Z_1 = k0.  Everything downstream (exact pmfs,
 pressure estimators, tree simulators) is driven by the slope sequence
 s_n, so slopes are kept exact (rational) whenever the defining
 parameters are rational.
+
+Every deterministic model is one AffineSlope s_n = a n + b; the preset
+names (LinearSlope, PlaneOrientedSlope, ...) are constructors for it.
+RandomizedPASlope adds the quenched multi-edge environment.  For
+rational parameters, values_float(N)[n-1] is the correctly rounded
+float(s_n), the same double the exact value(n) converts to, so every
+consumer of the float and the exact slope path sees identical slopes.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "SlopeSequence",
+    "AffineSlope",
     "LinearSlope",
     "UniformRecursiveSlope",
     "PlaneOrientedSlope",
@@ -43,6 +49,9 @@ DEFAULT_SEED = 20260819
 # and the chain draws never share randomness
 _STREAM_ENV = 101
 _STREAM_SIM = 202
+
+# integers below this magnitude are exact doubles
+_EXACT_INT = 2**53
 
 
 def make_generator(seed: int, *stream: int) -> np.random.Generator:
@@ -91,138 +100,78 @@ class SlopeSequence:
 
 
 @dataclass(frozen=True)
-class LinearSlope(SlopeSequence):
-    """s_n = alpha * n."""
+class AffineSlope(SlopeSequence):
+    """s_n = a*n + b, kept exact when a and b are rational; `name` is the
+    label echoed in output headers."""
 
-    alpha_param: Fraction | float
-
-    kind = "linear"
+    a: Fraction | float
+    b: Fraction | float
+    name: str
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha_param", _as_number(self.alpha_param))
-        if self.alpha_param <= 0:
-            raise ValueError("linear slope needs alpha > 0")
+        object.__setattr__(self, "a", _as_number(self.a))
+        object.__setattr__(self, "b", _as_number(self.b))
 
     @property
     def alpha(self) -> float:
-        return float(self.alpha_param)
+        return float(self.a)
 
     @property
     def is_rational(self) -> bool:
-        return isinstance(self.alpha_param, Fraction)
+        return isinstance(self.a, Fraction) and isinstance(self.b, Fraction)
 
     def value(self, n: int) -> Fraction | float:
-        return self.alpha_param * n
+        return self.a * n + self.b
 
     def values_float(self, n_max: int) -> np.ndarray:
-        return float(self.alpha_param) * np.arange(1, n_max + 1, dtype=float)
+        n = np.arange(1, n_max + 1, dtype=np.int64)
+        if not self.is_rational:
+            return float(self.a) * n + float(self.b)
+        # s_n = (P n + Q) / D with integers P, Q, D: one division of exact
+        # doubles rounds correctly, so the result equals float(s_n)
+        d = math.lcm(self.a.denominator, self.b.denominator)
+        p, q = int(self.a * d), int(self.b * d)
+        if abs(p) * n_max + abs(q) >= _EXACT_INT or d >= _EXACT_INT:
+            return super().values_float(n_max)
+        return (p * n + q) / d
 
     def label(self) -> str:
-        return f"linear:alpha={self.alpha_param}"
+        return self.name
 
 
-@dataclass(frozen=True)
-class UniformRecursiveSlope(SlopeSequence):
+def LinearSlope(alpha) -> AffineSlope:
+    """s_n = alpha * n."""
+    alpha = _as_number(alpha)
+    if alpha <= 0:
+        raise ValueError("linear slope needs alpha > 0")
+    return AffineSlope(alpha, 0, f"linear:alpha={alpha}")
+
+
+def UniformRecursiveSlope() -> AffineSlope:
     """s_n = n (uniform recursive trees)."""
-
-    kind = "uniform_recursive"
-
-    @property
-    def alpha(self) -> float:
-        return 1.0
-
-    @property
-    def is_rational(self) -> bool:
-        return True
-
-    def value(self, n: int) -> Fraction:
-        return Fraction(n)
-
-    def values_float(self, n_max: int) -> np.ndarray:
-        return np.arange(1, n_max + 1, dtype=float)
+    return AffineSlope(1, 0, "uniform_recursive")
 
 
-@dataclass(frozen=True)
-class PlaneOrientedSlope(SlopeSequence):
+def PlaneOrientedSlope() -> AffineSlope:
     """s_n = 2n - 1 (plane-oriented recursive trees)."""
-
-    kind = "plane_oriented"
-
-    @property
-    def alpha(self) -> float:
-        return 2.0
-
-    @property
-    def is_rational(self) -> bool:
-        return True
-
-    def value(self, n: int) -> Fraction:
-        return Fraction(2 * n - 1)
-
-    def values_float(self, n_max: int) -> np.ndarray:
-        return 2.0 * np.arange(1, n_max + 1, dtype=float) - 1.0
+    return AffineSlope(2, -1, "plane_oriented")
 
 
-@dataclass(frozen=True)
-class YuleSlope(SlopeSequence):
+def YuleSlope() -> AffineSlope:
     """s_n = n/2 (Yule trees, cherry count)."""
-
-    kind = "yule"
-
-    @property
-    def alpha(self) -> float:
-        return 0.5
-
-    @property
-    def is_rational(self) -> bool:
-        return True
-
-    def value(self, n: int) -> Fraction:
-        return Fraction(n, 2)
-
-    def values_float(self, n_max: int) -> np.ndarray:
-        return 0.5 * np.arange(1, n_max + 1, dtype=float)
+    return AffineSlope(Fraction(1, 2), 0, "yule")
 
 
-@dataclass(frozen=True)
-class PrefAttachSlope(SlopeSequence):
+def PrefAttachSlope(beta, dG1: int = 2, vG1: int = 2) -> AffineSlope:
     """s_n = (dG1 + 2(n-1) + (n-1+vG1) beta) / (1+beta) for preferential
     attachment started from a seed graph with total degree dG1 and vG1
     vertices (single edge by default)."""
-
-    beta: Fraction | float
-    dG1: int = 2
-    vG1: int = 2
-
-    kind = "pref_attach"
-
-    def __post_init__(self):
-        object.__setattr__(self, "beta", _as_number(self.beta))
-        if self.beta <= -1:
-            raise ValueError("pref_attach needs beta > -1")
-
-    @property
-    def alpha(self) -> float:
-        return float((2 + self.beta) / (1 + self.beta))
-
-    @property
-    def is_rational(self) -> bool:
-        return isinstance(self.beta, Fraction)
-
-    def value(self, n: int) -> Fraction | float:
-        num = self.dG1 + 2 * (n - 1) + (n - 1 + self.vG1) * self.beta
-        den = 1 + self.beta
-        if isinstance(self.beta, Fraction):
-            return Fraction(num) / Fraction(den)
-        return num / den
-
-    def values_float(self, n_max: int) -> np.ndarray:
-        n = np.arange(1, n_max + 1, dtype=float)
-        b = float(self.beta)
-        return (self.dG1 + 2.0 * (n - 1) + (n - 1 + self.vG1) * b) / (1.0 + b)
-
-    def label(self) -> str:
-        return f"pa:beta={self.beta}"
+    beta = _as_number(beta)
+    if beta <= -1:
+        raise ValueError("pref_attach needs beta > -1")
+    a = (2 + beta) / (1 + beta)
+    b = (dG1 - 2 + (vG1 - 1) * beta) / (1 + beta)
+    return AffineSlope(a, b, f"pa:beta={beta}")
 
 
 @dataclass(frozen=True)
@@ -275,7 +224,8 @@ class RandomizedPASlope(SlopeSequence):
         have = self._cache.get("gammas")
         if have is None or len(have) < count:
             rng = make_generator(self.seed, _STREAM_ENV)
-            need = max(count, 64)
+            # geometric growth keeps a value(n) loop to n at O(log n) redraws
+            need = max(count, 64 if have is None else 2 * len(have))
             draws = rng.choice(np.array(self.gamma_values), size=need, p=np.array(self.gamma_probs))
             have = draws.astype(np.int64)
             self._cache["gammas"] = have
@@ -295,10 +245,18 @@ class RandomizedPASlope(SlopeSequence):
         return num / den
 
     def values_float(self, n_max: int) -> np.ndarray:
-        cs = self._cum(n_max)[:n_max].astype(float)
-        n = np.arange(1, n_max + 1, dtype=float)
-        b = float(self.beta)
-        return (self.dG1 + 2.0 * cs + (n - 1 + self.vG1) * b) / (1.0 + b)
+        cs = self._cum(n_max)[:n_max]
+        n = np.arange(1, n_max + 1, dtype=np.int64)
+        if not self.is_rational:
+            b = float(self.beta)
+            return (self.dG1 + 2.0 * cs + (n - 1 + self.vG1) * b) / (1.0 + b)
+        # beta = p/q: s_n = [q (dG1 + 2 cs) + p (n-1+vG1)] / (p+q), rounded
+        # once as in AffineSlope.values_float
+        p, q = self.beta.numerator, self.beta.denominator
+        bound = q * (self.dG1 + 2 * int(cs.max(initial=0))) + abs(p) * (n_max - 1 + self.vG1)
+        if bound >= _EXACT_INT or p + q >= _EXACT_INT:
+            return super().values_float(n_max)
+        return (q * (self.dG1 + 2 * cs) + p * (n - 1 + self.vG1)) / (p + q)
 
     def label(self) -> str:
         pmf = "+".join(f"{v}@{p:g}" for v, p in zip(self.gamma_values, self.gamma_probs))
@@ -318,10 +276,6 @@ class ModelSpec:
         s1 = self.slopes.value(1)
         if not (self.k0 <= s1 or (self.k0 == 0 and s1 == 0)):
             raise ValueError(f"need k0 <= s_1, got k0={self.k0}, s_1={s1}")
-        if isinstance(self.slopes, LinearSlope) and self.slopes.alpha > 1:
-            # s_n = alpha*n >= k0 + n - 1 for all n reduces to the n=1 case
-            if self.slopes.alpha_param < self.k0:
-                raise ValueError("linear slopes with alpha > 1 need alpha >= k0")
 
     @property
     def alpha(self) -> float:

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 
 import numpy as np
@@ -67,35 +68,41 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _header_lines(resolved: dict, timestamp: bool) -> list[str]:
-    lines = [f"# config: {json.dumps(resolved, sort_keys=True)}"]
+def _now() -> str:
+    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def _write_json(stream, doc: dict, timestamp: bool) -> None:
+    """One JSON document, keys sorted, with the optional `generated` stamp."""
     if timestamp:
-        now = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-        lines.append(f"# generated: {now}")
-    return lines
+        doc["generated"] = _now()
+    json.dump(doc, stream, indent=2, sort_keys=True)
+    print(file=stream)
 
 
 def _write_table(stream, resolved, columns, rows, fmt, timestamp, extra_comments=()):
-    if fmt == "csv":
-        for line in _header_lines(resolved, timestamp):
-            print(line, file=stream)
-        for line in extra_comments:
-            print(line, file=stream)
-        print(",".join(columns), file=stream)
-        for row in rows:
-            print(",".join(_fmt(v) for v in row), file=stream)
-    else:
+    if fmt == "json":
         doc = {"config": resolved, "columns": columns, "rows": [list(r) for r in rows]}
-        if timestamp:
-            doc["generated"] = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-        json.dump(doc, stream, indent=2, sort_keys=True)
-        print(file=stream)
+        _write_json(stream, doc, timestamp)
+        return
+    print(f"# config: {json.dumps(resolved, sort_keys=True)}", file=stream)
+    if timestamp:
+        print(f"# generated: {_now()}", file=stream)
+    for line in extra_comments:
+        print(line, file=stream)
+    print(",".join(columns), file=stream)
+    for row in rows:
+        print(",".join(_fmt(v) for v in row), file=stream)
 
 
-def _open_out(path):
+@contextmanager
+def _output(path):
+    """stdout when path is None or '-', else the file at path, closed on exit."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+    else:
+        with open(path, "w") as fh:
+            yield fh
 
 
 class _Tee:
@@ -203,19 +210,9 @@ def _cmd_pressure(m: dict) -> int:
         d1, _ = pressure_derivatives(ev, lam)
         res = ode_residual(ev, lam) if lam != 0.0 else math.nan
         rows.append((lam, val, d1, res))
-    stream, close = _open_out(m["out"])
-    try:
-        _write_table(
-            stream,
-            resolved,
-            ["lambda", "pressure", "dpressure", "ode_residual"],
-            rows,
-            m["format"],
-            m["timestamp"],
-        )
-    finally:
-        if close:
-            stream.close()
+    columns = ["lambda", "pressure", "dpressure", "ode_residual"]
+    with _output(m["out"]) as stream:
+        _write_table(stream, resolved, columns, rows, m["format"], m["timestamp"])
     return 0
 
 
@@ -228,14 +225,10 @@ def _cmd_rate(m: dict) -> int:
     for x in grid:
         pt = rate(ev, x)
         rows.append((pt.x, pt.lambda_star, pt.rate))
-    stream, close = _open_out(m["out"])
-    try:
+    with _output(m["out"]) as stream:
         _write_table(
             stream, resolved, ["x", "lambda_star", "rate"], rows, m["format"], m["timestamp"]
         )
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -270,16 +263,8 @@ def _cmd_path(m: dict) -> int:
                 }
             )
         resolved = {"command": "path", "alpha": alpha, "x": list(xs), "tol": tol, "format": fmt}
-        doc = {"config": resolved, "paths": paths}
-        if m["timestamp"]:
-            doc["generated"] = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-        stream, close = _open_out(m["out"])
-        try:
-            json.dump(doc, stream, indent=2, sort_keys=True)
-            print(file=stream)
-        finally:
-            if close:
-                stream.close()
+        with _output(m["out"]) as stream:
+            _write_json(stream, {"config": resolved, "paths": paths}, m["timestamp"])
         return 0
     many = len(xs) > 1 and m["out"] is not None
     for x in xs:
@@ -290,22 +275,12 @@ def _cmd_path(m: dict) -> int:
             f"gap={sol.terminal_gap:.3g}"
         )
         out = m["out"] if m["out"] is None else _path_out_name(m["out"], x, many)
-        stream, close = _open_out(out)
-        try:
-            phidot = np.gradient(sol.path.values, sol.path.knots)
-            rows = zip(sol.path.knots.tolist(), sol.path.values.tolist(), phidot.tolist())
+        phidot = np.gradient(sol.path.values, sol.path.knots)
+        rows = zip(sol.path.knots.tolist(), sol.path.values.tolist(), phidot.tolist())
+        with _output(out) as stream:
             _write_table(
-                stream,
-                resolved,
-                ["t", "phi", "phidot"],
-                rows,
-                fmt,
-                m["timestamp"],
-                extra_comments=[summary],
+                stream, resolved, ["t", "phi", "phidot"], rows, fmt, m["timestamp"], [summary]
             )
-        finally:
-            if close:
-                stream.close()
     return 0
 
 
@@ -327,14 +302,10 @@ def _cmd_pmf(m: dict) -> int:
         (int(k), float(w), float(lp))
         for k, w, lp in zip(p.support, p.probs(), p.logp)
     ]
-    stream, close = _open_out(m["out"])
-    try:
+    with _output(m["out"]) as stream:
         _write_table(
             stream, resolved, ["k", "prob", "log_prob"], rows, m["format"], m["timestamp"]
         )
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -363,12 +334,8 @@ def _cmd_simulate(m: dict) -> int:
         z = simulate_endpoints(model, n, reps, seed)
         columns = ["replicate", "z_n"]
         rows = list(enumerate(z.tolist()))
-    stream, close = _open_out(m["out"])
-    try:
+    with _output(m["out"]) as stream:
         _write_table(stream, resolved, columns, rows, m["format"], m["timestamp"])
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -383,16 +350,9 @@ def _cmd_verify(m: dict) -> int:
             raise ValueError(f"--suite must be 'all' or a comma list of integers: {exc}")
         if not criteria:
             raise ValueError("--suite produced an empty criterion list")
-    stream = sys.stdout
-    close = None
-    if m.get("out"):
-        close = open(m["out"], "w")
-        stream = _Tee(sys.stdout, close)
-    try:
+    with _output(m.get("out") or None) as copy:
+        stream = sys.stdout if copy is sys.stdout else _Tee(sys.stdout, copy)
         ok = run_suite(criteria, seed=m["seed"], stream=stream)
-    finally:
-        if close is not None:
-            close.close()
     return 0 if ok else 1
 
 

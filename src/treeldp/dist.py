@@ -21,6 +21,7 @@ __all__ = [
     "RootReport",
     "pmf_start",
     "pmf_advance",
+    "pmf_snapshots",
     "pmf",
     "log_mgf",
     "pmf_mean",
@@ -77,49 +78,50 @@ def pmf_start(model: ModelSpec) -> Pmf:
     return Pmf(1, model.k0, np.zeros(1))
 
 
-def pmf_advance(p: Pmf, model: ModelSpec) -> Pmf:
+def _step(logp: np.ndarray, k0: int, s: float) -> np.ndarray:
     """One step of P_{n+1}(k) = P_n(k) k/s_n + P_n(k-1) (1-(k-1)/s_n),
-    carried out in log space."""
-    n = p.n
-    s = float(model.slopes.value(n))
-    ka = np.arange(p.k0, p.k0 + n, dtype=float)
+    carried out in log space; logp holds log P_n over k0..k0+n-1."""
+    n = len(logp)
+    ka = np.arange(k0, k0 + n, dtype=float)
     with np.errstate(divide="ignore"):
         log_stay = np.where(ka > 0, np.log(np.maximum(ka, 1e-300)) - math.log(s), -np.inf)
         ratio = np.clip(ka / s, 0.0, 1.0)
         log_up = np.log1p(-ratio)
         log_up[ratio >= 1.0] = -np.inf
-        if ka[0] == 0:
+        if k0 == 0:
             log_up[0] = 0.0  # 0/0 = 0 convention: growth is certain from zero
     new = np.full(n + 1, -np.inf)
-    new[:n] = p.logp + log_stay
-    new[1:] = np.logaddexp(new[1:], p.logp + log_up)
-    return Pmf(n + 1, p.k0, new)
+    new[:n] = logp + log_stay
+    new[1:] = np.logaddexp(new[1:], logp + log_up)
+    return new
+
+
+def pmf_advance(p: Pmf, model: ModelSpec) -> Pmf:
+    """The pmf of Z_{n+1} from that of Z_n."""
+    return Pmf(p.n + 1, p.k0, _step(p.logp, p.k0, float(model.slopes.value(p.n))))
+
+
+def pmf_snapshots(model: ModelSpec, ns) -> dict[int, Pmf]:
+    """Exact pmfs of Z_n for every n in `ns`, from one pass of the
+    recursion up to max(ns)."""
+    wanted = set(ns)
+    if not wanted or min(wanted) < 1:
+        raise ValueError("n must be >= 1")
+    n_max = max(wanted)
+    svals = model.slopes.values_float(max(n_max - 1, 1))
+    p = pmf_start(model)
+    logp = p.logp
+    out = {1: p} if 1 in wanted else {}
+    for m in range(1, n_max):
+        logp = _step(logp, model.k0, svals[m - 1])
+        if m + 1 in wanted:
+            out[m + 1] = Pmf(m + 1, model.k0, logp)
+    return out
 
 
 def pmf(model: ModelSpec, n: int) -> Pmf:
     """Exact pmf of Z_n by iterating the one-step recursion."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    p = pmf_start(model)
-    svals = model.slopes.values_float(max(n - 1, 1))
-    # inline the advance to reuse the precomputed slope array
-    logp = p.logp
-    k0 = model.k0
-    for m in range(1, n):
-        s = svals[m - 1]
-        ka = np.arange(k0, k0 + m, dtype=float)
-        with np.errstate(divide="ignore"):
-            log_stay = np.where(ka > 0, np.log(np.maximum(ka, 1e-300)) - math.log(s), -np.inf)
-            ratio = np.clip(ka / s, 0.0, 1.0)
-            log_up = np.log1p(-ratio)
-            log_up[ratio >= 1.0] = -np.inf
-            if k0 == 0:
-                log_up[0] = 0.0
-        new = np.full(m + 1, -np.inf)
-        new[:m] = logp + log_stay
-        new[1:] = np.logaddexp(new[1:], logp + log_up)
-        logp = new
-    return Pmf(n, k0, logp)
+    return pmf_snapshots(model, (n,))[n]
 
 
 def log_mgf(p: Pmf, lam: float) -> float:
@@ -145,8 +147,8 @@ def pressure_estimators(model: ModelSpec, n: int, lam: float) -> EstimatorTriple
     logderiv = m_n'/(n m_n) as a Boltzmann-weighted mean of Z_n."""
     if n < 2:
         raise ValueError("estimators need n >= 2")
-    p_n = pmf(model, n)
-    p_next = pmf_advance(p_n, model)
+    snaps = pmf_snapshots(model, (n, n + 1))
+    p_n, p_next = snaps[n], snaps[n + 1]
     lm_n = log_mgf(p_n, lam)
     lm_next = log_mgf(p_next, lam)
     shifted = p_n.logp + p_n.support * lam

@@ -492,13 +492,7 @@ def tv_against_chain(stats: np.ndarray, model: ModelSpec, steps) -> np.ndarray:
     steps = list(steps)
     reps = stats.shape[0]
     out = np.empty(len(steps))
-    max_n = max(steps)
-    pmfs = {}
-    p = dist.pmf_start(model)
-    pmfs[1] = p
-    for m in range(1, max_n):
-        p = dist.pmf_advance(p, model)
-        pmfs[m + 1] = p
+    pmfs = dist.pmf_snapshots(model, steps)
     for i, n in enumerate(steps):
         p = pmfs[n]
         col = stats[:, i] - p.k0

@@ -62,6 +62,15 @@ class CheckResult:
             return self.value == self.bound
         raise ValueError(f"unknown relation {self.relation!r}")
 
+    def line(self) -> str:
+        """The one-line report: tag, criterion, name, value vs bound, detail."""
+        tag = "PASS" if self.passed else "FAIL"
+        extra = f"  [{self.detail}]" if self.detail else ""
+        return (
+            f"[{tag}] C{self.criterion} {self.name}: "
+            f"{self.value:.6g} {self.relation} {self.bound:.6g}{extra}"
+        )
+
 
 def _lambda_grid() -> list[float]:
     # [-5, 5] step 0.1, excluding the origin where the residual is 0/0
@@ -137,12 +146,7 @@ def criterion_4(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     """log(m_{n+1}/m_n) converges to the pressure, improving with n."""
     model = model_from_name("plane_oriented")
     ev = PressureEval(2.0)
-    snapshots = {}
-    p = dist.pmf_start(model)
-    for m in range(1, 4001):
-        p = dist.pmf_advance(p, model)
-        if p.n in (1000, 1001, 4000, 4001):
-            snapshots[p.n] = p
+    snapshots = dist.pmf_snapshots(model, (1000, 1001, 4000, 4001))
     out = []
     for lam in (-1.0, 1.0):
         target = pressure(ev, lam)
@@ -173,12 +177,7 @@ def criterion_5(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     ev = PressureEval(2.0)
     target_085 = rate(ev, 0.85).rate
     target_1 = rate(ev, 1.0).rate  # log 2
-    snapshots = {}
-    p = dist.pmf_start(model)
-    for m in range(1, 2000):
-        p = dist.pmf_advance(p, model)
-        if p.n in (500, 1000, 2000):
-            snapshots[p.n] = p
+    snapshots = dist.pmf_snapshots(model, (500, 1000, 2000))
     d085, d1 = [], []
     for n in (500, 1000, 2000):
         q = dist.tail_log_prob(snapshots[n], 0.85)
@@ -340,12 +339,7 @@ def run_suite(criteria=None, seed: int = DEFAULT_SEED, stream=None) -> bool:
             total += 1
             passed += r.passed
             ok &= r.passed
-            tag = "PASS" if r.passed else "FAIL"
-            extra = f"  [{r.detail}]" if r.detail else ""
-            print(
-                f"[{tag}] C{r.criterion} {r.name}: {r.value:.6g} {r.relation} {r.bound:.6g}{extra}",
-                file=stream,
-            )
+            print(r.line(), file=stream)
         print(f"       criterion {idx} finished in {dt:.1f}s", file=stream)
     print(f"overall: {'PASS' if ok else 'FAIL'} ({passed}/{total} checks)", file=stream)
     return ok

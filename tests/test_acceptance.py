@@ -11,9 +11,7 @@ def _run(idx: int):
     results = CRITERIA[idx](seed=DEFAULT_SEED)
     failures = []
     for r in results:
-        tag = "PASS" if r.passed else "FAIL"
-        extra = f"  [{r.detail}]" if r.detail else ""
-        print(f"[{tag}] C{r.criterion} {r.name}: {r.value:.6g} {r.relation} {r.bound:.6g}{extra}")
+        print(r.line())
         if not r.passed:
             failures.append(r)
     assert not failures, f"criterion {idx}: {len(failures)} check(s) failed: " + "; ".join(

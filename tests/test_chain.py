@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeldp import chain
 from treeldp import (
+    AffineSlope,
     LinearSlope,
     ModelSpec,
     RandomizedPASlope,
@@ -85,6 +87,35 @@ def test_quenched_sequence_reproducible():
     assert np.allclose(a.values_float(40), b.values_float(40))
     c = RandomizedPASlope(0.0, (1, 2), (0.5, 0.5), seed=12)
     assert not np.array_equal(a.gammas(40), c.gammas(40))
+
+
+def test_quenched_cache_grows_geometrically(monkeypatch):
+    made = []
+    real = chain.make_generator
+
+    def counting(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(chain, "make_generator", counting)
+    s = RandomizedPASlope(0.0, (1, 2), (0.5, 0.5), seed=7)
+    for n in range(1, 2001):
+        s.value(n)
+    assert len(made) <= 12
+    # growing the cache in jumps leaves the gamma stream unchanged
+    fresh = RandomizedPASlope(0.0, (1, 2), (0.5, 0.5), seed=7)
+    assert np.array_equal(s.gammas(1999), fresh.gammas(1999))
+
+
+def test_preset_constructors_build_affine_slopes():
+    plane = model_from_name("plane_oriented").slopes
+    assert plane == AffineSlope(2, -1, "plane_oriented")
+    assert model_from_name("pa:beta=1").slopes == AffineSlope(Fraction(3, 2), Fraction(1, 2), "pa:beta=1")
+    assert LinearSlope(Fraction(5, 3)).label() == "linear:alpha=5/3"
+    with pytest.raises(ValueError, match="alpha > 0"):
+        LinearSlope(0)
+    with pytest.raises(ValueError, match="beta > -1"):
+        model_from_name("pa:beta=-1")
 
 
 def test_step_forced_transitions():

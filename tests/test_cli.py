@@ -1,11 +1,14 @@
 """Command-line interface: output contracts, determinism, config merging,
 and exit codes.  Runs in-process through main(argv); one subprocess case
-covers the installed entry point."""
+covers the console-script entry point declared in pyproject.toml."""
 
 import json
 import math
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -262,11 +265,27 @@ def test_verify_bad_suite(capsys):
 
 
 def test_installed_entry_point():
+    # run the [project.scripts] target the way an installed console script
+    # would, from the source tree, so no install is needed
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    target = re.search(r'^treeldp\s*=\s*"([\w.]+):(\w+)"\s*$', scripts, re.M)
+    assert target is not None, "pyproject.toml declares no treeldp console script"
+    module, func = target.groups()
+    assert (module, func) == ("treeldp.cli", "main")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    launcher = f"import sys; from {module} import {func}; sys.exit({func}())"
     proc = subprocess.run(
-        ["treeldp", "pressure", "--alpha", "2", "--lambda-grid", "1", "--no-header-timestamp"],
+        [sys.executable, "-c", launcher, "pressure", "--alpha", "2", "--lambda-grid", "1",
+         "--no-header-timestamp"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("# config: ")

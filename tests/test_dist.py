@@ -20,6 +20,7 @@ from treeldp import (
     model_from_name,
     pmf,
     pmf_advance,
+    pmf_snapshots,
     pmf_start,
     pressure,
     pressure_estimators,
@@ -44,6 +45,44 @@ def test_pmf_advance_hand_values():
     plane = model_from_name("plane_oriented")
     q3 = pmf(plane, 3)
     assert np.allclose(q3.probs(), [1 / 3, 2 / 3, 0.0], atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "preset",
+    PRESETS
+    + [
+        "linear:alpha=5/3,k0=1",
+        "pa:beta=1/3",
+        "pa:beta=2/7",
+        "rpa:beta=1/3,gamma=1@0.5+2@0.5,seed=3",
+        # numerator past 2**53: the per-element fallback
+        "linear:alpha=10000000000000000001/3,k0=1",
+    ],
+)
+def test_float_slopes_are_rounded_exact_slopes(preset):
+    # the vectorized slopes, the exact slopes and all three pmf routes
+    # must agree to the last bit
+    model = model_from_name(preset)
+    n = 300
+    svals = model.slopes.values_float(n)
+    assert [float(model.slopes.value(k)) for k in range(1, n + 1)] == svals.tolist()
+    p = pmf_start(model)
+    chained = {1: p}
+    for _ in range(1, n):
+        p = pmf_advance(p, model)
+        chained[p.n] = p
+    snaps = pmf_snapshots(model, (1, 7, n))
+    assert sorted(snaps) == [1, 7, n]
+    for k, q in snaps.items():
+        assert np.array_equal(q.logp, chained[k].logp)
+        assert np.array_equal(pmf(model, k).logp, q.logp)
+
+
+def test_pmf_snapshots_domain():
+    with pytest.raises(ValueError):
+        pmf_snapshots(model_from_name("uniform"), ())
+    with pytest.raises(ValueError):
+        pmf_snapshots(model_from_name("uniform"), (0, 3))
 
 
 def test_pmf_forced_stay_keeps_point_mass():
