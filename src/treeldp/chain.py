@@ -63,9 +63,7 @@ def make_generator(seed: int, *stream: int) -> np.random.Generator:
 
 def _as_number(x) -> Fraction | float:
     """Keep rationals exact; leave non-rational floats alone."""
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, Fraction, str)):
         return Fraction(x)
     if isinstance(x, float):
         if x == int(x):
@@ -75,10 +73,20 @@ def _as_number(x) -> Fraction | float:
     raise TypeError(f"unsupported numeric type {type(x)!r}")
 
 
-class SlopeSequence:
-    """Base for s_n sequences.  Subclasses implement value(n)."""
+def _exact_quotient(numerator, bound: int, den: int, n_max: int) -> np.ndarray:
+    """float(numerator(n) / den) for n = 1..n_max, correctly rounded.
 
-    kind: str = "abstract"
+    `numerator` maps an integer array of n to integers below `bound` in
+    magnitude.  When bound and den fit in 53 bits both are exact doubles
+    and one float division rounds correctly; beyond that Python's exact
+    integer division does the rounding, element by element."""
+    exact = bound < _EXACT_INT and den < _EXACT_INT
+    n = np.arange(1, n_max + 1, dtype=np.int64 if exact else object)
+    return np.asarray(numerator(n) / den, dtype=float)
+
+
+class SlopeSequence:
+    """Base for s_n sequences.  Subclasses implement value(n) and label()."""
 
     @property
     def alpha(self) -> float:
@@ -96,7 +104,7 @@ class SlopeSequence:
         return np.array([float(self.value(n)) for n in range(1, n_max + 1)])
 
     def label(self) -> str:
-        return self.kind
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -124,16 +132,12 @@ class AffineSlope(SlopeSequence):
         return self.a * n + self.b
 
     def values_float(self, n_max: int) -> np.ndarray:
-        n = np.arange(1, n_max + 1, dtype=np.int64)
         if not self.is_rational:
-            return float(self.a) * n + float(self.b)
-        # s_n = (P n + Q) / D with integers P, Q, D: one division of exact
-        # doubles rounds correctly, so the result equals float(s_n)
+            return float(self.a) * np.arange(1, n_max + 1, dtype=np.int64) + float(self.b)
+        # s_n = (P n + Q) / D with integers P, Q, D, rounded once
         d = math.lcm(self.a.denominator, self.b.denominator)
         p, q = int(self.a * d), int(self.b * d)
-        if abs(p) * n_max + abs(q) >= _EXACT_INT or d >= _EXACT_INT:
-            return super().values_float(n_max)
-        return (p * n + q) / d
+        return _exact_quotient(lambda n: p * n + q, abs(p) * n_max + abs(q), d, n_max)
 
     def label(self) -> str:
         return self.name
@@ -169,8 +173,11 @@ def PrefAttachSlope(beta, dG1: int = 2, vG1: int = 2) -> AffineSlope:
     beta = _as_number(beta)
     if beta <= -1:
         raise ValueError("pref_attach needs beta > -1")
-    a = (2 + beta) / (1 + beta)
-    b = (dG1 - 2 + (vG1 - 1) * beta) / (1 + beta)
+    # a float beta is taken as the dyadic rational it stores: rounding a
+    # and b separately could push s_1 below the seed count k0
+    x = Fraction(beta)
+    a = (2 + x) / (1 + x)
+    b = (dG1 - 2 + (vG1 - 1) * x) / (1 + x)
     return AffineSlope(a, b, f"pa:beta={beta}")
 
 
@@ -188,8 +195,6 @@ class RandomizedPASlope(SlopeSequence):
     dG1: int = 2
     vG1: int = 2
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    kind = "randomized_pa"
 
     def __post_init__(self):
         object.__setattr__(self, "beta", _as_number(self.beta))
@@ -238,25 +243,21 @@ class RandomizedPASlope(SlopeSequence):
 
     def value(self, n: int) -> Fraction | float:
         csum = int(self._cum(max(n - 1, 1))[n - 1])
-        num = self.dG1 + 2 * csum + (n - 1 + self.vG1) * self.beta
-        den = 1 + self.beta
-        if isinstance(self.beta, Fraction):
-            return Fraction(num) / Fraction(den)
-        return num / den
+        # exact when beta is a Fraction, one float division otherwise
+        return (self.dG1 + 2 * csum + (n - 1 + self.vG1) * self.beta) / (1 + self.beta)
 
     def values_float(self, n_max: int) -> np.ndarray:
         cs = self._cum(n_max)[:n_max]
-        n = np.arange(1, n_max + 1, dtype=np.int64)
         if not self.is_rational:
+            n = np.arange(1, n_max + 1, dtype=np.int64)
             b = float(self.beta)
             return (self.dG1 + 2.0 * cs + (n - 1 + self.vG1) * b) / (1.0 + b)
-        # beta = p/q: s_n = [q (dG1 + 2 cs) + p (n-1+vG1)] / (p+q), rounded
-        # once as in AffineSlope.values_float
+        # beta = p/q: s_n = [q (dG1 + 2 cs) + p (n-1+vG1)] / (p+q), rounded once
         p, q = self.beta.numerator, self.beta.denominator
         bound = q * (self.dG1 + 2 * int(cs.max(initial=0))) + abs(p) * (n_max - 1 + self.vG1)
-        if bound >= _EXACT_INT or p + q >= _EXACT_INT:
-            return super().values_float(n_max)
-        return (q * (self.dG1 + 2 * cs) + p * (n - 1 + self.vG1)) / (p + q)
+        return _exact_quotient(
+            lambda n: q * (self.dG1 + 2 * cs.astype(n.dtype)) + p * (n - 1 + self.vG1), bound, p + q, n_max
+        )
 
     def label(self) -> str:
         pmf = "+".join(f"{v}@{p:g}" for v, p in zip(self.gamma_values, self.gamma_probs))

@@ -350,9 +350,10 @@ def _cmd_verify(m: dict) -> int:
             raise ValueError(f"--suite must be 'all' or a comma list of integers: {exc}")
         if not criteria:
             raise ValueError("--suite produced an empty criterion list")
-    with _output(m.get("out") or None) as copy:
-        stream = sys.stdout if copy is sys.stdout else _Tee(sys.stdout, copy)
-        ok = run_suite(criteria, seed=m["seed"], stream=stream)
+    if not m.get("out"):
+        return 0 if run_suite(criteria, seed=m["seed"], stream=sys.stdout) else 1
+    with open(m["out"], "w") as copy:
+        ok = run_suite(criteria, seed=m["seed"], stream=_Tee(sys.stdout, copy))
     return 0 if ok else 1
 
 

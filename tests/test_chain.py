@@ -118,6 +118,24 @@ def test_preset_constructors_build_affine_slopes():
         model_from_name("pa:beta=-1")
 
 
+def test_float_beta_keeps_the_seed_slope_exact():
+    # rounding a = 2.3/1.3 and b = 0.3/1.3 separately gives s_1 < 2
+    slopes = chain.PrefAttachSlope(0.3)
+    assert slopes.value(1) == 2
+    assert slopes.label() == "pa:beta=0.3"
+    model = ModelSpec(slopes, 2)
+    assert simulate(model, 50, seed=1).values[0] == 2
+    svals = slopes.values_float(200)
+    assert svals.tolist() == [float(slopes.value(k)) for k in range(1, 201)]
+
+
+def test_huge_rational_beta_uses_exact_integer_rounding():
+    # p + q past 2**53 takes the integer-division fallback
+    s = RandomizedPASlope(Fraction(1, 2**60 + 1), (1, 2), (0.5, 0.5), seed=3)
+    svals = s.values_float(100)
+    assert svals.tolist() == [float(s.value(k)) for k in range(1, 101)]
+
+
 def test_step_forced_transitions():
     rng = make_generator(0)
     plane = model_from_name("plane_oriented")
