@@ -427,6 +427,9 @@ def simulate_endpoints(
     for j in range(1, n):
         s = svals[j - 1]
         p = np.where(z == 0, 1.0, 1.0 - z / s)
+        worst = int(np.argmin(p))
+        if p[worst] < 0:
+            raise ValueError(f"state {z[worst]} exceeds slope {s} at step {j}")
         z += rng.random(reps) < p
     return z
 

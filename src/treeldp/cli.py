@@ -172,7 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run acceptance criteria and report pass/fail")
     sp.add_argument("--suite", default=None, help="'all' or comma list like 1,4,8")
-    sp.add_argument("--budget", choices=("quick", "full"), default=None, help="runtime budget")
     sp.add_argument("--seed", type=int)
     sp.add_argument("--out", help="also write the report to this file")
     sp.add_argument("--config", help="JSON file of defaults; explicit flags win")

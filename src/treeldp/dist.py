@@ -1,6 +1,12 @@
 """Exact distribution of Z_n: log-space pmf recursion, the rational
 polynomial p_n(u) whose coefficients are the pmf, MGF-based pressure
 estimators, tail probabilities, and real-rootedness certification.
+
+The exact path is integer arithmetic throughout: `exact_poly` steps
+integer numerators over one common denominator and builds its Fractions
+once at the end, and `certify_real_rooted` scales the coefficients to
+integers once and counts negative roots with a Sturm sequence of
+primitive pseudo-remainders (Collins, J. ACM 1967).
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import logsumexp
 
-from . import _sturm
 from .chain import ModelSpec
 
 __all__ = [
@@ -184,7 +189,8 @@ def tail_log_prob(p: Pmf, x: float) -> float:
 
 def exact_poly(model: ModelSpec, n: int, n_exact: int = N_EXACT_DEFAULT) -> ExactPoly:
     """Exact rational coefficients of p_n(u) via
-    p_{n+1} = u(1-u) p_n'/s_n + u p_n; requires rational slopes."""
+    p_{n+1} = u(1-u) p_n'/s_n + u p_n; requires rational slopes.  The
+    recursion runs on integer numerators over one common denominator."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > n_exact:
@@ -192,21 +198,19 @@ def exact_poly(model: ModelSpec, n: int, n_exact: int = N_EXACT_DEFAULT) -> Exac
     if not model.slopes.is_rational:
         raise ValueError("exact_poly needs rational slope values")
     k0 = model.k0
-    coeffs = [Fraction(0)] * k0 + [Fraction(1)]
+    num = [0] * k0 + [1]
+    den = 1
     for m in range(1, n):
         s = model.slopes.value(m)
         if not isinstance(s, Fraction):
             raise ValueError("exact_poly needs rational slope values")
-        cur = coeffs + [Fraction(0)]
-        new = [Fraction(0)] * len(cur)
-        for k in range(1, len(cur)):
-            # the k=1 up-term covers the zero state: 1 - 0/s = 1 realizes
-            # the 0/0 = 0 convention for every positive slope
-            stay = cur[k] * Fraction(k) / s
-            up = cur[k - 1] * (1 - Fraction(k - 1) / s)
-            new[k] = stay + up
-        coeffs = new
-    return ExactPoly(n, k0, tuple(coeffs))
+        p, q = s.numerator, s.denominator
+        cur = num + [0]
+        # with s = p/q: P_{n+1}(k) = [P_n(k) k q + P_n(k-1) (p - (k-1) q)] / p; the
+        # k=1 up-term covers the zero state, realizing the 0/0 = 0 convention
+        num = [0] + [cur[k] * k * q + cur[k - 1] * (p - (k - 1) * q) for k in range(1, len(cur))]
+        den *= p
+    return ExactPoly(n, k0, tuple(Fraction(c, den) for c in num))
 
 
 @dataclass(frozen=True)
@@ -220,21 +224,61 @@ class RootReport:
     note: str = ""
 
 
+def _primitive(p: list[int]) -> list[int]:
+    """p over the gcd of its coefficients: a positive multiple, so every
+    sign a Sturm count reads is kept while coefficients stay small."""
+    g = math.gcd(*p)
+    return [c // g for c in p]
+
+
+def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """|lc(b)|^j (a mod b) for some j >= 0, in integer arithmetic."""
+    mag, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    a = list(a)
+    while len(a) >= len(b):
+        f, shift = sign * a[-1], len(a) - len(b)
+        a = [mag * c for c in a[:shift]] + [mag * c - f * bc for c, bc in zip(a[shift:], b)]
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _sign_changes(vals: list[int]) -> int:
+    signs = [v > 0 for v in vals if v]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def _negative_roots(p: list[int]) -> tuple[int, bool]:
+    """(distinct roots in (-inf, 0), squarefree?) of an integer polynomial
+    with p(0) != 0 and degree >= 1, from a Sturm sequence of primitive
+    pseudo-remainders."""
+    chain = [_primitive(p), _primitive([k * c for k, c in enumerate(p)][1:])]
+    while len(chain[-1]) > 1:
+        rem = _pseudo_rem(chain[-2], chain[-1])
+        if not rem:
+            break  # nonconstant gcd: p has a repeated root
+        chain.append(_primitive([-c for c in rem]))
+    at_neg_inf = [q[-1] * (-1) ** (len(q) - 1) for q in chain]
+    at_zero = [q[0] for q in chain]
+    return _sign_changes(at_neg_inf) - _sign_changes(at_zero), len(chain[-1]) == 1
+
+
 def certify_real_rooted(poly: ExactPoly) -> RootReport:
     """True iff every root of p_n is real and <= 0, proven by exact Sturm
     counting: after stripping the u^m factor, the cofactor must have as
     many distinct negative roots as its degree (hence all real, simple,
     negative).  Monomial p_n (stationary prefixes, k0 = 0 starts) are
     reported as their own case."""
-    coeffs = list(poly.coeffs)
-    coeffs = _sturm.trim([Fraction(c) for c in coeffs])
+    fracs = [Fraction(c) for c in poly.coeffs]
+    scale = math.lcm(*(c.denominator for c in fracs))
+    coeffs = [c.numerator * (scale // c.denominator) for c in fracs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
     if not coeffs:
         raise ValueError("zero polynomial")
-    mult = 0
-    while coeffs[0] == 0:
-        coeffs = coeffs[1:]
-        mult += 1
-    cof_deg = _sturm.degree(coeffs)
+    mult = next(k for k, c in enumerate(coeffs) if c)
+    coeffs = coeffs[mult:]
+    cof_deg = len(coeffs) - 1
     if cof_deg == 0:
         return RootReport(
             certified=True,
@@ -245,7 +289,7 @@ def certify_real_rooted(poly: ExactPoly) -> RootReport:
             monomial=True,
             note="monomial: all mass at one state (stationary prefix)",
         )
-    neg, squarefree = _sturm.count_distinct_negative_roots(coeffs)
+    neg, squarefree = _negative_roots(coeffs)
     ok = squarefree and neg == cof_deg
     return RootReport(
         certified=ok,

@@ -394,40 +394,23 @@ def batch_pa_buds(
 ) -> np.ndarray:
     """Bud counts of `reps` quenched multigraphs sharing one gamma
     environment (drawn from env_seed, defaulting to seed), with the
-    two-stage target selection that realizes the chain exactly."""
+    two-stage target selection that realizes the chain exactly.  The bud
+    count moves only with the stage-1 bud-vs-non-bud coin, so the vertex
+    bookkeeping of stage 2 is marginalized out."""
     gv, gp = _coerce_pmf(gamma_pmf)
     slopes = RandomizedPASlope(beta, gv, gp, seed if env_seed is None else env_seed)
-    gammas = slopes.gammas(max(n - 1, 1))
     svals = slopes.values_float(max(n - 1, 1))
     rng = make_generator(seed, _STREAM_TREES, 9)
-    rows = np.arange(reps)
-    nv = n + 1
-    degrees = np.zeros((reps, nv), dtype=np.int32)
-    degrees[:, 0] = degrees[:, 1] = 1
-    is_bud = np.zeros((reps, nv), dtype=bool)
-    is_bud[:, 0] = is_bud[:, 1] = True
     z = np.full(reps, 2, dtype=np.int64)
     out = np.empty((reps, n), dtype=np.int64) if record_all else None
     if record_all:
         out[:, 0] = z
     for m in range(1, n):
-        g = int(gammas[m - 1])
-        s = svals[m - 1]
-        pick_bud = rng.random(reps) < z / s
-        w_bud = np.where(is_bud[:, : m + 1], 1.0, 0.0)
-        w_non = np.where(is_bud[:, : m + 1], 0.0, degrees[:, : m + 1] + beta)
-        w = np.where(pick_bud[:, None], w_bud, w_non)
-        cum = np.cumsum(w, axis=1)
-        r = rng.random(reps) * cum[:, -1]
-        target = np.sum(cum <= r[:, None], axis=1)
-        target = np.minimum(target, m)
-        new = m + 1
-        was_bud = is_bud[rows, target]
-        z += 1 - was_bud
-        is_bud[rows, target] = False
-        degrees[rows, target] += g
-        degrees[:, new] = g
-        is_bud[:, new] = True
+        z += rng.random(reps) >= z / svals[m - 1]
+        # stage 2 picked the target vertex from this draw; drawing it still
+        # keeps the stream, so each realization equals the full two-stage
+        # sampler's bit for bit
+        rng.random(reps)
         if record_all:
             out[:, m] = z
     return out if record_all else z

@@ -178,6 +178,16 @@ def test_simulate_endpoints_deterministic():
     assert not np.array_equal(a, simulate_endpoints(m, 50, 200, seed=6))
 
 
+def test_simulate_endpoints_refuses_inadmissible_model():
+    # s_2 = 0.6 < Z_2 = 1: both simulators stop at the same step
+    m = model_from_name("linear:alpha=0.3,k0=0")
+    msg = "state 1 exceeds slope 0.6 at step 2"
+    with pytest.raises(ValueError, match=msg):
+        simulate(m, 6)
+    with pytest.raises(ValueError, match=msg):
+        simulate_endpoints(m, 6, 5)
+
+
 def test_endpoint_matches_trajectory_distribution():
     # same chain law through the two samplers: compare means loosely
     m = model_from_name("yule")

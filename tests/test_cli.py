@@ -215,6 +215,15 @@ def test_simulate_endpoint_mode(capsys):
     assert all(1 <= int(r[1]) <= 50 for r in rows)
 
 
+def test_simulate_inadmissible_model_exits_2(capsys):
+    for reps in ("1", "5"):
+        rc, out, err = run_cli(
+            capsys, "simulate", "--model", "linear:alpha=0.3,k0=0", "--n", "6", "--reps", reps
+        )
+        assert rc == 2 and out == ""
+        assert err == "error: state 1 exceeds slope 0.6 at step 2\n"
+
+
 # ------------------------------------------------------------------- config
 
 
@@ -252,6 +261,13 @@ def test_verify_single_criterion(capsys, tmp_path):
     assert "[PASS] C1" in out
     assert "[FAIL]" not in out
     assert report.read_text() == out
+
+
+def test_verify_has_no_budget_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--budget", "quick", "--suite", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget quick" in capsys.readouterr().err
 
 
 def test_verify_bad_suite(capsys):

@@ -228,6 +228,77 @@ def test_certificate_rejects_complex_roots():
     assert not rep.certified
 
 
+def _fraction_exact_poly(model, n_max):
+    """Reference for exact_poly: the plain Fraction recursion
+    P_{n+1}(k) = P_n(k) k/s_n + P_n(k-1) (1 - (k-1)/s_n), yielding every n."""
+    coeffs = [Fraction(0)] * model.k0 + [Fraction(1)]
+    yield tuple(coeffs)
+    for m in range(1, n_max):
+        s = model.slopes.value(m)
+        cur = coeffs + [Fraction(0)]
+        coeffs = [Fraction(0)] + [
+            cur[k] * Fraction(k) / s + cur[k - 1] * (1 - Fraction(k - 1) / s)
+            for k in range(1, len(cur))
+        ]
+        yield tuple(coeffs)
+
+
+@pytest.mark.parametrize(
+    "preset",
+    sorted(
+        set(PRESETS)
+        | {"pa:beta=1", "pa:beta=1/3", "rpa:beta=1/3,gamma=1@0.5+2@0.5,seed=3"}
+    ),
+)
+def test_exact_poly_matches_fraction_recursion(preset):
+    model = model_from_name(preset)
+    for n, want in enumerate(_fraction_exact_poly(model, 40), start=1):
+        got = exact_poly(model, n).coeffs
+        assert got == want
+        assert all(type(c) is Fraction for c in got)
+
+
+def _u_poly(*coeffs):
+    """ExactPoly with the given ascending coefficients."""
+    return ExactPoly(len(coeffs), 0, tuple(Fraction(c) for c in coeffs))
+
+
+REFUSED = "cofactor has complex, positive, or repeated roots"
+
+
+@pytest.mark.parametrize(
+    "poly, fields",
+    [
+        # (u+1)^2 (u+2): two distinct negative roots, one repeated
+        (_u_poly(2, 5, 4, 1), (False, 0, 3, 2, False, False, REFUSED)),
+        # (u-1)(u+2): one negative root, one positive
+        (_u_poly(-2, 1, 1), (False, 0, 2, 1, False, False, REFUSED)),
+        # u(u^2+1): a zero root and a complex pair
+        (_u_poly(0, 1, 0, 1), (False, 1, 2, 0, False, False, REFUSED)),
+        # u(u+1)(u+2)/6 with plain int coefficients, scaled by 6
+        (ExactPoly(4, 0, (0, 2, 3, 1)), (True, 1, 2, 2, True, False, "")),
+        # (u+1/2)(u+1/3) u^2: distinct denominators
+        (_u_poly(0, 0, Fraction(1, 6), Fraction(5, 6), 1), (True, 2, 2, 2, True, False, "")),
+    ],
+)
+def test_certificate_report_fields(poly, fields):
+    rep = certify_real_rooted(poly)
+    assert (
+        rep.certified,
+        rep.zero_root_multiplicity,
+        rep.cofactor_degree,
+        rep.distinct_negative_roots,
+        rep.all_negative_simple,
+        rep.monomial,
+        rep.note,
+    ) == fields
+
+
+def test_certificate_rejects_zero_polynomial():
+    with pytest.raises(ValueError, match="zero polynomial"):
+        certify_real_rooted(ExactPoly(3, 0, (0, Fraction(0), 0)))
+
+
 def test_certificate_monomial_case():
     rep = certify_real_rooted(exact_poly(model_from_name("plane_oriented"), 2))
     assert rep.certified and rep.monomial

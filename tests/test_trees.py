@@ -22,6 +22,8 @@ from treeldp import (
     tv_against_chain,
     verify_clt,
 )
+from treeldp.chain import make_generator
+from treeldp.trees import _STREAM_TREES
 
 GAMMA_HALF = {1: 0.5, 2: 0.5}
 
@@ -204,6 +206,51 @@ def test_bud_batch_matches_quenched_chain():
     model = model_from_name("rpa:beta=0,gamma=1@0.5+2@0.5,seed=13")
     tv = tv_against_chain(stats.reshape(-1, 1), model, [8])
     assert tv[0] <= 0.02
+
+
+def _two_stage_buds(beta, gamma_pmf, n, reps, seed, record_all=False):
+    """The full two-stage bud sampler, vertex bookkeeping and all: a bud
+    target with probability Z/s, otherwise a non-bud by weight deg + beta."""
+    gv, gp = zip(*sorted(gamma_pmf.items()))
+    slopes = RandomizedPASlope(beta, gv, gp, seed)
+    gammas = slopes.gammas(max(n - 1, 1))
+    svals = slopes.values_float(max(n - 1, 1))
+    rng = make_generator(seed, _STREAM_TREES, 9)
+    rows = np.arange(reps)
+    degrees = np.zeros((reps, n + 1), dtype=np.int32)
+    degrees[:, 0] = degrees[:, 1] = 1
+    is_bud = np.zeros((reps, n + 1), dtype=bool)
+    is_bud[:, 0] = is_bud[:, 1] = True
+    z = np.full(reps, 2, dtype=np.int64)
+    out = np.empty((reps, n), dtype=np.int64)
+    out[:, 0] = z
+    for m in range(1, n):
+        g = int(gammas[m - 1])
+        pick_bud = rng.random(reps) < z / svals[m - 1]
+        w_bud = np.where(is_bud[:, : m + 1], 1.0, 0.0)
+        w_non = np.where(is_bud[:, : m + 1], 0.0, degrees[:, : m + 1] + beta)
+        cum = np.cumsum(np.where(pick_bud[:, None], w_bud, w_non), axis=1)
+        r = rng.random(reps) * cum[:, -1]
+        target = np.minimum(np.sum(cum <= r[:, None], axis=1), m)
+        z += 1 - is_bud[rows, target]
+        is_bud[rows, target] = False
+        degrees[rows, target] += g
+        degrees[:, m + 1] = g
+        is_bud[:, m + 1] = True
+        out[:, m] = z
+    return out if record_all else z
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 0.5, -0.5, 2.5])
+@pytest.mark.parametrize("seed", [0, 7, 99])
+def test_bud_batch_equals_two_stage_sampler(beta, seed):
+    # the bud count moves only with the stage-1 coin, so the batch grower
+    # must reproduce the full sampler's realizations bit for bit
+    for gamma in (GAMMA_HALF, {1: 0.2, 3: 0.8}):
+        for record_all in (False, True):
+            want = _two_stage_buds(beta, gamma, 25, 40, seed, record_all)
+            got = batch_pa_buds(beta, gamma, 25, 40, seed, record_all=record_all)
+            assert np.array_equal(got, want)
 
 
 def test_degenerate_buds_reduce_to_plain_pa():
