@@ -162,7 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--x", action="append", type=float, help="endpoint target; repeatable (default 2/3)"
     )
-    sp.add_argument("--tol", type=float, help="endpoint tolerance (default 1e-9)")
 
     sp = sub.add_parser("pmf", help="exact distribution of Z_n")
     _add_common(sp, "model", "k0", "n")
@@ -186,6 +185,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
             stored = json.load(fh)
         if not isinstance(stored, dict):
             raise ValueError("config file must hold a JSON object")
+        unknown = sorted(key for key in stored if key.replace("-", "_") not in merged)
+        if unknown:
+            raise ValueError(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
         for key, val in stored.items():
             key = key.replace("-", "_")
             if merged.get(key) is None:
@@ -243,13 +245,12 @@ def _path_out_name(out: str, x: float, many: bool) -> str:
 def _cmd_path(m: dict) -> int:
     alpha = _resolve_alpha(m)
     xs = m.get("x") or [2.0 / 3.0]
-    tol = m.get("tol") if m.get("tol") is not None else 1e-9
     ev = PressureEval(alpha)
     fmt = m["format"]
     if fmt == "json":
         paths = []
         for x in xs:
-            sol = euler_solve(alpha, x, tol=tol)
+            sol = euler_solve(alpha, x)
             paths.append(
                 {
                     "x": x,
@@ -261,14 +262,14 @@ def _cmd_path(m: dict) -> int:
                     "phidot": np.gradient(sol.path.values, sol.path.knots).tolist(),
                 }
             )
-        resolved = {"command": "path", "alpha": alpha, "x": list(xs), "tol": tol, "format": fmt}
+        resolved = {"command": "path", "alpha": alpha, "x": list(xs), "format": fmt}
         with _output(m["out"]) as stream:
             _write_json(stream, {"config": resolved, "paths": paths}, m["timestamp"])
         return 0
     many = len(xs) > 1 and m["out"] is not None
     for x in xs:
-        sol = euler_solve(alpha, x, tol=tol)
-        resolved = {"command": "path", "alpha": alpha, "x": x, "tol": tol, "format": fmt}
+        sol = euler_solve(alpha, x)
+        resolved = {"command": "path", "alpha": alpha, "x": x, "format": fmt}
         summary = (
             f"# summary: cost={sol.cost:.17g} rate={rate(ev, x).rate:.17g} "
             f"gap={sol.terminal_gap:.3g}"
@@ -283,20 +284,26 @@ def _cmd_path(m: dict) -> int:
     return 0
 
 
-def _cmd_pmf(m: dict) -> int:
+def _resolve_chain(m: dict) -> tuple[ModelSpec, int, dict]:
+    """Model, length n and the config echo shared by pmf and simulate."""
     model = _resolve_model(m)
     n = m.get("n")
     if n is None or n < 1:
         raise ValueError("--n must be a positive integer")
-    p = dist.pmf(model, n)
     resolved = {
-        "command": "pmf",
+        "command": m["command"],
         "model": model.label(),
         "alpha": float(model.alpha),
         "k0": model.k0,
         "n": n,
         "format": m["format"],
     }
+    return model, n, resolved
+
+
+def _cmd_pmf(m: dict) -> int:
+    model, n, resolved = _resolve_chain(m)
+    p = dist.pmf(model, n)
     rows = [
         (int(k), float(w), float(lp))
         for k, w, lp in zip(p.support, p.probs(), p.logp)
@@ -309,22 +316,10 @@ def _cmd_pmf(m: dict) -> int:
 
 
 def _cmd_simulate(m: dict) -> int:
-    model = _resolve_model(m)
-    n = m.get("n")
-    if n is None or n < 1:
-        raise ValueError("--n must be a positive integer")
+    model, n, resolved = _resolve_chain(m)
     reps = m.get("reps") if m.get("reps") is not None else 1
     seed = m["seed"]
-    resolved = {
-        "command": "simulate",
-        "model": model.label(),
-        "alpha": float(model.alpha),
-        "k0": model.k0,
-        "n": n,
-        "reps": reps,
-        "seed": seed,
-        "format": m["format"],
-    }
+    resolved.update(reps=reps, seed=seed)
     if reps == 1:
         traj = simulate(model, n, seed)
         columns = ["step", "z"]

@@ -85,9 +85,14 @@ def pmf_start(model: ModelSpec) -> Pmf:
 
 def _step(logp: np.ndarray, k0: int, s: float) -> np.ndarray:
     """One step of P_{n+1}(k) = P_n(k) k/s_n + P_n(k-1) (1-(k-1)/s_n),
-    carried out in log space; logp holds log P_n over k0..k0+n-1."""
+    carried out in log space; logp holds log P_n over k0..k0+n-1.  A
+    reachable state above s_n has no law: that raises ValueError."""
     n = len(logp)
     ka = np.arange(k0, k0 + n, dtype=float)
+    if ka[-1] > s:
+        over = np.flatnonzero((ka > s) & np.isfinite(logp))
+        if over.size:
+            raise ValueError(f"state {k0 + int(over[-1])} exceeds slope {s} at step {n}")
     with np.errstate(divide="ignore"):
         log_stay = np.where(ka > 0, np.log(np.maximum(ka, 1e-300)) - math.log(s), -np.inf)
         ratio = np.clip(ka / s, 0.0, 1.0)
@@ -189,8 +194,9 @@ def tail_log_prob(p: Pmf, x: float) -> float:
 
 def exact_poly(model: ModelSpec, n: int, n_exact: int = N_EXACT_DEFAULT) -> ExactPoly:
     """Exact rational coefficients of p_n(u) via
-    p_{n+1} = u(1-u) p_n'/s_n + u p_n; requires rational slopes.  The
-    recursion runs on integer numerators over one common denominator."""
+    p_{n+1} = u(1-u) p_n'/s_n + u p_n; requires rational slopes and
+    raises ValueError on a reachable state above s_n.  The recursion runs
+    on integer numerators over one common denominator."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > n_exact:
@@ -205,6 +211,10 @@ def exact_poly(model: ModelSpec, n: int, n_exact: int = N_EXACT_DEFAULT) -> Exac
         if not isinstance(s, Fraction):
             raise ValueError("exact_poly needs rational slope values")
         p, q = s.numerator, s.denominator
+        if (len(num) - 1) * q > p:
+            over = [k for k, c in enumerate(num) if c and k * q > p]
+            if over:
+                raise ValueError(f"state {over[-1]} exceeds slope {s} at step {m}")
         cur = num + [0]
         # with s = p/q: P_{n+1}(k) = [P_n(k) k q + P_n(k-1) (p - (k-1) q)] / p; the
         # k=1 up-term covers the zero state, realizing the 0/0 = 0 convention

@@ -1,21 +1,27 @@
 """Path-space rate functional and optimal large-deviation trajectories.
 
 The rate of a path phi on [0,1] is the integral of the local cost
-L(alpha t, phi, phidot); minimizers solve the Euler equation
+L(alpha t, phi, phidot).  Its Legendre dual is the log-MGF of one
+increment, the Hamiltonian
 
-    phidd / (phid (1 - phid)) = alpha/(alpha t - phi) - 1/phi,
+    H(t, phi, p) = log((1 - q) e^p + q),    q = phi/(alpha t),
 
-integrated here as a shooting problem from a linear launch at t = eps
-(every finite-cost path leaves the origin linearly).
+and minimizers solve phi' = dH/dp, p' = -dH/dphi (Dembo & Zeitouni,
+Ch. 5).  Near the origin every finite-cost path leaves linearly and the
+costate grows from zero along the one mode p = mu t^(1/alpha).
+`euler_solve` launches there at t = eps, integrates forward to t = 1,
+and finds mu with brentq on the increasing map mu -> phi(1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
 __all__ = [
     "PathFunction",
@@ -25,7 +31,9 @@ __all__ = [
     "euler_solve",
 ]
 
-_EPS_LAUNCH = 1e-6
+_EPS_LAUNCH = 1e-8
+# knots of a returned path, fixed apart from the launch time
+_KNOTS = np.concatenate([[0.0], np.linspace(1e-6, 1.0, 1001)])
 _SLOPE_TOL = 1e-9
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(30)
 
@@ -170,48 +178,45 @@ class EulerSolution:
     cost: float
     shoot_param: float
     endpoint: float
-    bisection_roots: tuple[float, ...]
 
     @property
     def terminal_gap(self) -> float:
         return abs(self.endpoint - self.x_target)
 
 
-def _clamped_cost(t: float, x: float, y: float, alpha: float) -> float:
-    u = alpha * t
-    up = 0.0 if y <= 0.0 else y * math.log(u * y / (u - x))
-    stay = 0.0 if y >= 1.0 else (1.0 - y) * math.log(u * (1.0 - y) / x)
-    return up + stay
+def _launch_slope(p: float, alpha: float) -> float:
+    """Slope c of the straight path phi = c t with costate p: c = alpha r
+    for the root r of alpha expm1(-p) r^2 + (1 + alpha) r = 1, so
+    alpha/(alpha + 1) at p = 0."""
+    disc = (1.0 + alpha) ** 2 + 4.0 * alpha * math.expm1(-p)
+    return 2.0 * alpha / (1.0 + alpha + math.sqrt(disc))
 
 
-def _euler_rhs(alpha: float):
-    def rhs(t, state):
-        phi, v, _cost = state
-        ub = alpha * t
-        # keep trial stages inside the admissible cone; the clamps are
-        # inactive at the converged root, and saturating v at {0,1}
-        # continues the path as a flat/straight line, the correct limit
-        p = min(max(phi, 1e-300), ub * (1.0 - 1e-15))
-        w = min(max(v, 0.0), 1.0)
-        g = alpha / (ub - p) - 1.0 / p
-        return (w, w * (1.0 - w) * g, _clamped_cost(t, p, w, alpha))
+def _hamilton_rhs(t: float, state, alpha: float):
+    """(phi', p', cost density) for H = log D, D = (1 - q) e^p + q and
+    q = phi/(alpha t): phi' = dH/dp, p' = -dH/dphi = (e^p - 1)/(alpha t D)
+    and p phi' - H.  D and e^p - 1 are carried divided by e^max(p, 0), so
+    no exponential overflows as the target nears 1."""
+    phi, p, _cost = state
+    q = phi / (alpha * t)
+    if p > 0.0:
+        up, stay, top, grow = 1.0 - q, q * math.exp(-p), p, -math.expm1(-p)
+    else:
+        up, stay, top, grow = (1.0 - q) * math.exp(p), q, 0.0, math.expm1(p)
+    d = up + stay
+    v = up / d
+    return (v, grow / (alpha * t * d), p * v - top - math.log(d))
 
-    return rhs
 
-
-def _shoot(alpha: float, c: float, dense: bool = False):
-    sol = solve_ivp(
-        _euler_rhs(alpha),
-        (_EPS_LAUNCH, 1.0),
-        (c * _EPS_LAUNCH, c, 0.0),
-        method="DOP853",
-        rtol=1e-11,
-        atol=1e-13,
-        dense_output=dense,
-    )
+def _shoot(alpha: float, mu: float, dense: bool = False):
+    """Launch slope and trajectory from the growing mode p(eps) = mu eps^(1/alpha)."""
+    p0 = mu * _EPS_LAUNCH ** (1.0 / alpha)
+    c = _launch_slope(p0, alpha)
+    sol = solve_ivp(_hamilton_rhs, (_EPS_LAUNCH, 1.0), (c * _EPS_LAUNCH, p0, 0.0), args=(alpha,),
+                    method="DOP853", rtol=1e-11, atol=1e-13, dense_output=dense)
     if not sol.success:
-        raise RuntimeError(f"integration failed at c={c}: {sol.message}")
-    return sol
+        raise RuntimeError(f"integration failed at mu={mu}: {sol.message}")
+    return c, sol
 
 
 def _project_admissible(knots: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -224,78 +229,39 @@ def _project_admissible(knots: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def euler_solve(alpha: float, x_target: float, tol: float = 1e-9) -> EulerSolution:
-    """Optimal trajectory hitting phi(1) = x_target by bisection over the
-    launch slope c (phi(eps) = c eps).  The terminal map c -> phi(1) is
-    monotone; that is probed at runtime, and on a violation the solver
-    falls back to a grid scan, solving every bracket and keeping the
-    cheapest.  All roots found are reported."""
+def euler_solve(alpha: float, x_target: float) -> EulerSolution:
+    """Optimal trajectory hitting phi(1) = x_target by forward shooting of
+    the Hamiltonian system: brentq on the launch-mode scale mu, on which
+    phi(1) is increasing, from the bracket [-1, 1] doubled until it holds
+    the target."""
     if not alpha > 1.0:
         raise ValueError("euler_solve requires alpha > 1")
     if not 0.0 < x_target < 1.0:
         raise ValueError("x_target must lie in (0, 1)")
 
-    def terminal(c: float) -> float:
-        return float(_shoot(alpha, c).y[0, -1])
+    @lru_cache(maxsize=None)
+    def gap(mu: float) -> float:
+        return float(_shoot(alpha, mu)[1].y[0, -1]) - x_target
 
-    probe_c = np.linspace(0.02, 0.98, 9)
-    probe_end = np.array([terminal(c) for c in probe_c])
-    monotone = bool(np.all(np.diff(probe_end) >= -1e-9))
-    brackets: list[tuple[float, float]] = []
-    if monotone:
-        grid_c = np.concatenate([[1e-9], probe_c, [1.0 - 1e-9]])
-        grid_end = np.concatenate([[0.0], probe_end, [1.0]])
-        idx = int(np.searchsorted(grid_end, x_target))
-        idx = min(max(idx, 1), len(grid_c) - 1)
-        brackets.append((grid_c[idx - 1], grid_c[idx]))
-    else:
-        grid_c = np.linspace(1e-9, 1.0 - 1e-9, 101)
-        grid_end = np.array([terminal(c) for c in grid_c])
-        for i in range(len(grid_c) - 1):
-            if (grid_end[i] - x_target) * (grid_end[i + 1] - x_target) <= 0.0:
-                brackets.append((grid_c[i], grid_c[i + 1]))
-        if not brackets:
-            raise RuntimeError(f"no launch slope reaches phi(1) = {x_target}")
-
-    roots: list[float] = []
-    best = None  # (cost, c_star, endpoint, dense solution)
-    for lo, hi in brackets:
-        end_lo = terminal(lo)
-        for _ in range(80):
-            midc = 0.5 * (lo + hi)
-            end_mid = terminal(midc)
-            if abs(end_mid - x_target) <= min(tol, 1e-12) or hi - lo < 5e-17:
-                break
-            if (end_lo - x_target) * (end_mid - x_target) <= 0.0:
-                hi = midc
-            else:
-                lo, end_lo = midc, end_mid
-        c_star = 0.5 * (lo + hi)
-        sol = _shoot(alpha, c_star, dense=True)
-        endpoint = float(sol.y[0, -1])
-        cost = float(sol.y[2, -1]) + _EPS_LAUNCH * _constant_slope_cost(c_star, alpha)
-        roots.append(c_star)
-        if best is None or cost < best[0]:
-            best = (cost, c_star, endpoint, sol)
-    cost, c_star, endpoint, sol = best
-    cost = max(cost, 0.0)  # the functional is nonnegative; rounding at the
-    # LLN target can leave a -1e-16 residue
-
-    tgrid = np.linspace(_EPS_LAUNCH, 1.0, 1001)
-    knots = np.concatenate([[0.0], tgrid])
-    values = np.concatenate([[0.0], sol.sol(tgrid)[0]])
-    path = PathFunction(knots, _project_admissible(knots, values))
-    if abs(endpoint - x_target) > max(tol, 1e-7):
+    lo, hi = -1.0, 1.0
+    try:
+        while gap(lo) > 0.0:
+            lo *= 2.0
+        while gap(hi) < 0.0:
+            hi *= 2.0
+    except OverflowError:
+        # the launch costate left double range before bracketing the target
+        raise ValueError(f"x_target={x_target} is beyond the reach of the launch") from None
+    c, sol = _shoot(alpha, brentq(gap, lo, hi), dense=True)
+    endpoint = float(sol.y[0, -1])
+    if abs(endpoint - x_target) > 1e-7:
         raise RuntimeError(
             f"shooting stalled: endpoint {endpoint} vs target {x_target} "
             f"(gap {abs(endpoint - x_target):.2e})"
         )
-    return EulerSolution(
-        alpha=alpha,
-        x_target=x_target,
-        path=path,
-        cost=cost,
-        shoot_param=c_star,
-        endpoint=endpoint,
-        bisection_roots=tuple(roots),
-    )
+    # the functional is nonnegative; rounding at the LLN target can leave
+    # a -1e-16 residue
+    cost = max(float(sol.y[2, -1]) + _EPS_LAUNCH * _constant_slope_cost(c, alpha), 0.0)
+    values = np.concatenate([[0.0], sol.sol(_KNOTS[1:])[0]])
+    path = PathFunction(_KNOTS, _project_admissible(_KNOTS, values))
+    return EulerSolution(alpha, x_target, path, cost, shoot_param=c, endpoint=endpoint)

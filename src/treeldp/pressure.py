@@ -32,6 +32,7 @@ __all__ = [
 
 LAMBDA_SWITCH = 1e-4
 _BRACKET_CAP = 50.0
+_QUAD_TOL = 1e-12
 
 _CLOSED_FORMS = {"closed_form_half": 0.5, "closed_form_one": 1.0, "closed_form_two": 2.0}
 
@@ -61,11 +62,10 @@ def _lambda3(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class PressureEval:
-    """Evaluator configuration: slope alpha, method, quadrature tolerance."""
+    """Evaluator configuration: slope alpha and method."""
 
     alpha: float
     method: str = "auto"
-    quad_tol: float = 1e-12
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -147,21 +147,21 @@ def _cf_two_d(lam: float) -> tuple[float, float]:
 # ------------------------------------------------------------------ quadrature
 
 
-def _quad_piece(f, a: float, b: float, weight_pow: float, tol: float):
+def _quad_piece(f, a: float, b: float, weight_pow: float):
     """Integrate f(v) * v^weight_pow over [a, b]; QAWS handles the
     algebraic endpoint weight when the interval starts at 0."""
     if a == 0.0 and weight_pow != 0.0:
-        res = quad(f, a, b, weight="alg", wvar=(weight_pow, 0.0), epsabs=tol, epsrel=tol, limit=200, full_output=1)
+        res = quad(f, a, b, weight="alg", wvar=(weight_pow, 0.0), epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200, full_output=1)
     else:
-        res = quad(lambda v: f(v) * v**weight_pow, a, b, epsabs=tol, epsrel=tol, limit=200, full_output=1)
+        res = quad(lambda v: f(v) * v**weight_pow, a, b, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200, full_output=1)
     # the result feeds logs and ratios, so judge the error relative to the
     # value: epsabs=1e-12 is unattainable when the piece itself is ~1e6
-    if len(res) > 3 and res[1] > max(tol, 1e-10 * abs(res[0])):
+    if len(res) > 3 and res[1] > max(_QUAD_TOL, 1e-10 * abs(res[0])):
         raise QuadratureError(f"quadrature did not converge: {res[3]} (error estimate {res[1]:.3e})")
     return res[0], res[1]
 
 
-def _J(p: float, m: int, c: float, tol: float) -> float:
+def _J(p: float, m: int, c: float) -> float:
     """int_0^1 v^p / (1 + c v)^m dv, robust to steep integrands at either
     endpoint (large positive c, or c near -1)."""
     f = lambda v: (1.0 + c * v) ** (-m)
@@ -170,12 +170,12 @@ def _J(p: float, m: int, c: float, tol: float) -> float:
         # boundary layer in t = -log(1 + c v), where it is a mild exponential
         split = min(0.5, max(1e-3, 20.0 * (1.0 + c) / (-c)))
         v0 = 1.0 - split
-        total, _ = _quad_piece(f, 0.0, v0, p, tol)
+        total, _ = _quad_piece(f, 0.0, v0, p)
         q = -c
         t0 = -math.log(1.0 + c * v0)
         t1 = -math.log(1.0 + c)
         g = lambda t: ((1.0 - math.exp(-t)) / q) ** p * math.exp((m - 1.0) * t) / q
-        val, _err = _quad_piece(g, t0, t1, 0.0, tol)
+        val, _err = _quad_piece(g, t0, t1, 0.0)
         return total + val
     pieces: list[tuple[float, float]]
     if c > 20.0:
@@ -185,22 +185,22 @@ def _J(p: float, m: int, c: float, tol: float) -> float:
         pieces = [(0.0, 1.0)]
     total = 0.0
     for a, b in pieces:
-        val, _err = _quad_piece(f, a, b, p, tol)
+        val, _err = _quad_piece(f, a, b, p)
         total += val
     return total
 
 
-def _quad_pressure(alpha: float, lam: float, tol: float) -> float:
+def _quad_pressure(alpha: float, lam: float) -> float:
     c = math.expm1(lam)
-    return -math.log(alpha * _J(alpha - 1.0, 1, c, tol))
+    return -math.log(alpha * _J(alpha - 1.0, 1, c))
 
 
-def _quad_derivs(alpha: float, lam: float, tol: float) -> tuple[float, float]:
+def _quad_derivs(alpha: float, lam: float) -> tuple[float, float]:
     c = math.expm1(lam)
     el = c + 1.0
-    j0 = _J(alpha - 1.0, 1, c, tol)
-    j1 = _J(alpha, 2, c, tol)
-    j2 = _J(alpha + 1.0, 3, c, tol)
+    j0 = _J(alpha - 1.0, 1, c)
+    j1 = _J(alpha, 2, c)
+    j2 = _J(alpha + 1.0, 3, c)
     d1 = el * j1 / j0
     d2 = (el * j1 - 2.0 * el * el * j2) / j0 + d1 * d1
     return d1, d2
@@ -229,7 +229,7 @@ def pressure(ev: PressureEval, lam: float) -> float:
         return _cf_one(lam)
     if ev.method == "closed_form_two":
         return _cf_two(lam)
-    return _quad_pressure(ev.alpha, lam, ev.quad_tol)
+    return _quad_pressure(ev.alpha, lam)
 
 
 def pressure_derivatives(ev: PressureEval, lam: float) -> tuple[float, float]:
@@ -253,7 +253,7 @@ def pressure_derivatives(ev: PressureEval, lam: float) -> tuple[float, float]:
         return _cf_one_d(lam)
     if ev.method == "closed_form_two":
         return _cf_two_d(lam)
-    return _quad_derivs(a, lam, ev.quad_tol)
+    return _quad_derivs(a, lam)
 
 
 def ode_residual(ev: PressureEval, lam: float) -> float:

@@ -327,11 +327,12 @@ def run_suite(criteria=None, seed: int = DEFAULT_SEED, stream=None) -> bool:
     if stream is None:
         stream = sys.stdout
     which = sorted(CRITERIA) if criteria is None else sorted(set(criteria))
+    unknown = [idx for idx in which if idx not in CRITERIA]
+    if unknown:
+        raise ValueError(f"unknown criterion {', '.join(map(str, unknown))}; valid: {sorted(CRITERIA)}")
     ok = True
     total = passed = 0
     for idx in which:
-        if idx not in CRITERIA:
-            raise ValueError(f"unknown criterion {idx}; valid: {sorted(CRITERIA)}")
         t0 = time.perf_counter()
         results = CRITERIA[idx](seed=seed)
         dt = time.perf_counter() - t0

@@ -150,6 +150,13 @@ def test_path_csv_files_per_target(capsys, tmp_path):
         assert float(rows[-1][1]) == pytest.approx(float(x), abs=1e-6)
 
 
+def test_path_has_no_tol_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["path", "--alpha", "2", "--tol", "1e-9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------- pmf
 
 
@@ -183,6 +190,19 @@ def test_pmf_requires_n(capsys):
     assert rc == 2 and "--n" in err
     rc, _, err = run_cli(capsys, "pmf", "--model", "yule", "--n", "0")
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "model, n, err",
+    [
+        ("linear:alpha=0.3,k0=0", "4", "state 1 exceeds slope 0.6 at step 2"),
+        ("linear:alpha=7/10,k0=0", "12", "state 3 exceeds slope 2.8 at step 4"),
+    ],
+)
+def test_pmf_inadmissible_model_exits_2(capsys, model, n, err):
+    rc, out, got = run_cli(capsys, "pmf", "--model", model, "--n", n)
+    assert rc == 2 and out == ""
+    assert got == f"error: {err}\n"
 
 
 # ----------------------------------------------------------------- simulate
@@ -251,6 +271,18 @@ def test_config_must_be_object(capsys, tmp_path):
     assert rc == 2 and "JSON object" in err
 
 
+def test_config_rejects_unknown_keys(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lamda-grid": "0:1:0.5", "alpha": 2}))
+    rc, out, err = run_cli(capsys, "pressure", "--config", str(cfg))
+    assert rc == 2 and out == ""
+    assert err == "error: unknown config key(s) for pressure: lamda-grid\n"
+    # a key of another subcommand is unknown here too
+    cfg.write_text(json.dumps({"tol": 1e-9, "alpha": 2}))
+    rc, out, err = run_cli(capsys, "path", "--config", str(cfg))
+    assert rc == 2 and out == "" and "tol" in err
+
+
 # ------------------------------------------------------------------- verify
 
 
@@ -275,6 +307,13 @@ def test_verify_bad_suite(capsys):
     assert rc == 2 and err.startswith("error:")
     rc, _, err = run_cli(capsys, "verify", "--suite", ",")
     assert rc == 2
+
+
+def test_verify_checks_every_criterion_before_running(capsys):
+    rc, out, err = run_cli(capsys, "verify", "--suite", "1,9")
+    assert rc == 2
+    assert "[PASS]" not in out and out == ""
+    assert err.startswith("error: unknown criterion 9;")
 
 
 # -------------------------------------------------------------- entry point

@@ -93,6 +93,40 @@ def test_pmf_forced_stay_keeps_point_mass():
     assert np.allclose(p2.probs(), [1.0, 0.0], atol=0)
 
 
+# (preset, n, reachable state, slope it exceeds, step); at the second the
+# float pmf at n = 12 used to carry total mass 1.001
+INADMISSIBLE = [
+    ("linear:alpha=0.3,k0=0", 4, 1, Fraction(3, 5), 2),
+    ("linear:alpha=7/10,k0=0", 12, 3, Fraction(14, 5), 4),
+]
+
+
+@pytest.mark.parametrize("preset, n, state, slope, step", INADMISSIBLE)
+def test_pmf_and_exact_poly_refuse_inadmissible_models(preset, n, state, slope, step):
+    model = model_from_name(preset)
+    msg = f"state {state} exceeds slope {float(slope)} at step {step}"
+    with pytest.raises(ValueError, match=msg):
+        pmf(model, n)
+    p = pmf_start(model)
+    with pytest.raises(ValueError, match=msg):
+        for _ in range(1, n):
+            p = pmf_advance(p, model)
+    with pytest.raises(ValueError, match=f"state {state} exceeds slope {slope} at step {step}"):
+        exact_poly(model, n)
+
+
+def test_pmf_allows_unreachable_states_above_the_slope():
+    # s_n = n/2 with Z_2 = 1 and s_2 = 1: the support's top state n - 1
+    # exceeds s_n from n = 3 on but is never reached
+    model = model_from_name("linear:alpha=1/2,k0=0")
+    p = pmf(model, 12)
+    assert np.all(np.isneginf(p.logp[7:]))
+    assert p.probs().sum() == pytest.approx(1.0, abs=1e-14)
+    exact = exact_poly(model, 12)
+    assert sum(exact.coeffs) == 1
+    assert np.allclose([float(c) for c in exact.coeffs], p.probs(), atol=1e-15)
+
+
 def test_pmf_yule_small():
     p4 = pmf(model_from_name("yule"), 4)
     assert np.allclose(p4.probs(), [0.0, 2 / 3, 1 / 3, 0.0], atol=1e-15)

@@ -177,7 +177,6 @@ def test_euler_continuity_toward_one():
 def test_euler_solution_invariants():
     sol = euler_solve(2.0, 0.4)
     assert sol.alpha == 2.0 and sol.x_target == 0.4
-    assert sol.shoot_param in sol.bisection_roots
     assert math.isfinite(sol.cost) and sol.cost > 0.0
     slopes = sol.path.slopes()
     assert np.all(slopes >= -1e-12) and np.all(slopes <= 1.0 + 1e-12)
@@ -190,3 +189,35 @@ def test_euler_domain():
         euler_solve(2.0, 0.0)
     with pytest.raises(ValueError):
         euler_solve(2.0, 1.0)
+
+
+@pytest.mark.parametrize("alpha", [1.01, 1.25, 1.5, 2.0, 3.0, 5.0, 20.0])
+def test_euler_matches_rate_across_alpha(alpha):
+    ev = PressureEval(alpha)
+    for x in (0.13, 0.5, 0.85):
+        sol = euler_solve(alpha, x)
+        target = rate(ev, x).rate
+        assert sol.terminal_gap <= 1e-9
+        assert sol.cost == pytest.approx(target, abs=1e-8)
+        assert path_rate(sol.path, alpha) == pytest.approx(target, abs=1e-4)
+
+
+@pytest.mark.parametrize("alpha, x", [(2.0, 0.02), (2.0, 1.0 - 1e-9), (2.0, 1e-8), (100.0, 0.02)])
+def test_euler_edge_targets(alpha, x):
+    sol = euler_solve(alpha, x)
+    assert sol.terminal_gap <= 1e-9
+    assert math.isfinite(sol.cost) and sol.cost > 0.0
+    if (alpha, x) == (2.0, 0.02):
+        # rate() refuses |lambda*| > 50 here; reference value from the
+        # second-order Euler-equation shooter this solver replaced
+        assert sol.cost == pytest.approx(3.5851701859700094, abs=1e-8)
+    if (alpha, x) == (2.0, 1e-8):
+        # lambda* = -1 - 1/x and e^lambda* underflows, so at alpha = 2
+        # I(x) = log(2/x) - 1 - x to double precision
+        assert sol.cost == pytest.approx(math.log(2.0 / x) - 1.0 - x, abs=1e-8)
+
+
+def test_euler_refuses_targets_beyond_the_launch():
+    # the launch costate leaves double range before phi(1) gets this low
+    with pytest.raises(ValueError, match="beyond the reach of the launch"):
+        euler_solve(2.0, 1e-200)
