@@ -194,7 +194,7 @@ class RandomizedPASlope(SlopeSequence):
     seed: int
     dG1: int = 2
     vG1: int = 2
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "beta", _as_number(self.beta))

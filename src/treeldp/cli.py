@@ -177,7 +177,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
+def _check_config_value(key: str, val, action: argparse.Action) -> None:
+    """Refuse a stored value that the option's flag could not have stored."""
+    kind = action.type or str
+
+    def fits(v) -> bool:
+        if isinstance(v, bool):
+            return False
+        return isinstance(v, kind) or (kind is float and isinstance(v, int))
+
+    if action.nargs == 0:
+        ok, want = isinstance(val, bool), "true or false"
+    elif isinstance(action, argparse._AppendAction):
+        ok, want = isinstance(val, list) and all(map(fits, val)), f"a list of {kind.__name__}"
+    elif action.choices is not None:
+        ok, want = val in action.choices, "one of " + ", ".join(action.choices)
+    else:
+        ok, want = fits(val), kind.__name__
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {want}, got {json.dumps(val)}")
+
+
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     merged = vars(args).copy()
     path = merged.pop("config", None)
     if path:
@@ -188,10 +209,14 @@ def _merge_config(args: argparse.Namespace) -> dict:
         unknown = sorted(key for key in stored if key.replace("-", "_") not in merged)
         if unknown:
             raise ValueError(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        actions = {a.dest: a for a in sub.choices[args.command]._actions}
         for key, val in stored.items():
-            key = key.replace("-", "_")
-            if merged.get(key) is None:
-                merged[key] = val
+            dest = key.replace("-", "_")
+            if dest in actions:
+                _check_config_value(key, val, actions[dest])
+            if merged.get(dest) is None:
+                merged[dest] = val
     return merged
 
 
@@ -370,9 +395,10 @@ def _preprocess(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser().parse_args(_preprocess(argv))
+    parser = _build_parser()
+    args = parser.parse_args(_preprocess(argv))
     try:
-        m = _merge_config(args)
+        m = _merge_config(args, parser)
         m["seed"] = m.get("seed") if m.get("seed") is not None else DEFAULT_SEED
         if m.get("command") != "verify":
             m["format"] = m.get("format") or "csv"

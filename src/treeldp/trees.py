@@ -5,13 +5,18 @@ permutations (plateaux), plus LLN/CLT statistical harnesses.
 
 Batch simulators are vectorized across replicates and can record the
 statistic at every intermediate size, which is what the distributional
-equivalence tests against the exact chain pmfs consume.
+equivalence tests against the exact chain pmfs consume.  The leaf,
+cherry and plateau growers share one kernel: it draws the target of every
+step at once (a copy of an earlier step's target, or a uniform vertex or
+gap), so each statistic is a count of what no step has hit yet, taken
+over blocks of replicates of a fixed size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import stats as _scipy_stats
@@ -75,6 +80,114 @@ def _coerce_pmf(pmf_like) -> tuple[tuple[int, ...], tuple[float, ...]]:
     return tuple(int(v) for v in vals), tuple(float(p) for p in probs)
 
 
+# ---------------------------------------------------------- first-hit kernel
+
+_BLOCK = 1 << 18  # draws per block of replicates: peak memory follows this, not reps * n
+
+# A law is (copies, v0, dv): step m draws one uniform over m - 1 copy units
+# (when `copies`) and v0 + dv*m vertices of one weight each (1 unless given).
+_UNIFORM = (False, 0, 1)  # one of m vertices, or of m Yule leaf slots
+_PLANE = (True, 0, 1)  # weight children + 1: 2m - 1 in all
+_PA = (True, 1, 1)  # weight deg + beta: (m - 1) + (m + 1)(1 + beta) in all
+_GAPS = (False, 1, 2)  # one of the 2m + 1 gaps of a Stirling permutation
+
+
+def _targets(rng, rows: int, steps: int, copies: bool, v0: int, dv: int, weight: float = 1.0):
+    """Targets of steps m = 1..steps for `rows` replicates, shape (rows, steps).
+
+    Copy unit r takes the target of step r + 1.  A vertex has one degree
+    unit per earlier step that chose it, so copies plus `weight` per vertex
+    are weight deg + beta attachment (Krapivsky & Redner, PRE 63, 066123).
+    Copies point at earlier steps and are resolved by pointer jumping.
+    """
+    m = np.arange(1, steps + 1)
+    ncopy = m - 1 if copies else 0
+    nvert = v0 + dv * m
+    u = rng.random((rows, steps)) * (ncopy + nvert * weight)
+    vert = np.minimum(((u - ncopy) / weight).astype(np.intp), nvert - 1)
+    if not copies:
+        return vert
+    ptr = np.where(u < ncopy, u.astype(np.intp), m - 1) + steps * np.arange(rows)[:, None]
+    ptr = ptr.ravel()
+    while True:
+        nxt = ptr[ptr]
+        if np.array_equal(nxt, ptr):
+            break
+        ptr = nxt
+    return vert.ravel()[ptr].reshape(rows, steps)
+
+
+def _per_target(ufunc, tgt: np.ndarray, empty: int):
+    """`ufunc` over the step numbers that hit each target of a row (`empty`
+    if none), shape (rows, width), and that value read back at every step,
+    shape (rows, steps)."""
+    rows, steps = tgt.shape
+    width = int(tgt.max(initial=0)) + 1
+    key = (tgt + width * np.arange(rows)[:, None]).ravel()
+    red = np.full(rows * width, empty)
+    ufunc.at(red, key, np.tile(np.arange(1, steps + 1), rows))
+    return red.reshape(rows, width), red[key].reshape(rows, steps)
+
+
+def _unhit(tgt: np.ndarray, record_all: bool, base: int, odd: bool = False) -> np.ndarray:
+    """The vertices (odd gaps when `odd`) no step has hit yet: `base` at
+    the start, one more per step, one fewer per first hit."""
+    rows, steps = tgt.shape
+    m = np.arange(1, steps + 1)
+    fresh = _per_target(np.minimum, tgt, steps + 1)[1] == m
+    if odd:
+        fresh &= tgt % 2 == 1
+    if not record_all:
+        return base + steps - fresh.sum(axis=1)
+    out = np.empty((rows, steps + 1), dtype=np.int64)
+    out[:, 0] = base
+    out[:, 1:] = base + m - np.cumsum(fresh, axis=1)
+    return out
+
+
+def _cherries(tgt: np.ndarray, record_all: bool) -> np.ndarray:
+    """Yule cherries from the leaf slot each step splits: step m turns slot
+    tgt[m] into the pair (tgt[m], m), a cherry until either is split again,
+    i.e. until min(next sibling of m, first child of m)."""
+    rows, steps = tgt.shape
+    m = np.arange(1, steps + 1)
+    hits = _per_target(np.minimum, tgt, steps + 1)[0]
+    child = np.full((rows, steps), steps + 1)  # first split of slot m
+    child[:, : hits.shape[1] - 1] = hits[:, 1:]
+    if not record_all:
+        is_last = _per_target(np.maximum, tgt, 0)[1] == m
+        return np.sum(is_last & (child > steps), axis=1)
+    order = np.argsort(tgt, axis=1, kind="stable")
+    srt = np.take_along_axis(tgt, order, axis=1)
+    sibling = np.full((rows, steps), steps + 1)
+    nxt = np.where(srt[:, 1:] == srt[:, :-1], order[:, 1:] + 1, steps + 1)
+    np.put_along_axis(sibling, order[:, :-1], nxt, axis=1)
+    death = np.minimum(sibling, child) + (steps + 2) * np.arange(rows)[:, None]
+    deaths = np.bincount(death.ravel(), minlength=rows * (steps + 2)).reshape(rows, steps + 2)
+    out = np.zeros((rows, steps + 1), dtype=np.int64)
+    out[:, 1:] = m - np.cumsum(deaths[:, 1 : steps + 1], axis=1)
+    return out
+
+
+def _grow_batch(rng, n: int, reps: int, record_all: bool, law: tuple, count) -> np.ndarray:
+    """`count` of the targets that `law` draws, one block of replicates at a
+    time: shape (reps,) at size n, or (reps, n) with record_all."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    steps = n - 1
+    out = np.empty((reps, n) if record_all else reps, dtype=np.int64)
+    rows = max(1, _BLOCK // max(steps, 1))
+    for lo in range(0, reps, rows):
+        out[lo : lo + rows] = count(_targets(rng, min(rows, reps - lo), steps, *law), record_all)
+    return out
+
+
+def _recursive_law(kind: str) -> tuple:
+    if kind not in ("uniform", "plane_oriented"):
+        raise ValueError("kind must be 'uniform' or 'plane_oriented'")
+    return _UNIFORM if kind == "uniform" else _PLANE
+
+
 # ------------------------------------------------------------- single runs
 
 
@@ -99,30 +212,21 @@ def grow_pa_graph(
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = make_generator(seed, _STREAM_TREES, 1)
-    nv = n + 1  # vG1 + n - 1
     if multi_edge_pmf is None:
-        degrees = np.zeros(nv, dtype=np.int64)
-        degrees[0] = degrees[1] = 1
-        edges = [(0, 1, 1)]
-        for m in range(1, n):
-            w = degrees[: m + 1] + beta
-            cum = np.cumsum(w)
-            target = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-            target = min(target, m)
-            new = m + 1
-            degrees[target] += 1
-            degrees[new] = 1
-            edges.append((new, target, 1))
-        statistic = int(np.sum(degrees[: n + 1] == 1))
+        tgt = _targets(rng, 1, n - 1, *_PA, 1.0 + float(beta))[0]
+        degrees = 1 + np.bincount(tgt, minlength=n + 1)
+        edges = [(0, 1, 1)] + [(m + 1, int(t), 1) for m, t in enumerate(tgt, 1)]
+        statistic = int(np.sum(degrees == 1))
         result = GrowthResult(f"pa:beta={beta:g}", n, statistic, seed)
         if return_structure:
-            return result, {"degrees": degrees[: n + 1], "edges": edges}
+            return result, {"degrees": degrees, "edges": edges}
         return result
 
     gv, gp = _coerce_pmf(multi_edge_pmf)
     slopes = RandomizedPASlope(beta, gv, gp, seed)
     gammas = slopes.gammas(max(n - 1, 1))
     svals = slopes.values_float(max(n - 1, 1))
+    nv = n + 1  # vG1 + n - 1
     degrees = np.zeros(nv, dtype=np.int64)
     degrees[0] = degrees[1] = 1
     is_bud = np.zeros(nv, dtype=bool)
@@ -192,22 +296,12 @@ def grow_recursive(kind: str, n: int, seed: int = DEFAULT_SEED, return_structure
     the number of childless vertices.  Plane-oriented attachment picks a
     vertex with weight (children + 1), i.e. one of the 2m - 1 insertion
     slots of the plane embedding."""
-    if kind not in ("uniform", "plane_oriented"):
-        raise ValueError("kind must be 'uniform' or 'plane_oriented'")
+    law = _recursive_law(kind)
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = make_generator(seed, _STREAM_TREES, 3)
-    parents = np.full(n, -1, dtype=np.int64)
-    nchildren = np.zeros(n, dtype=np.int64)
-    for m in range(1, n):
-        if kind == "uniform":
-            target = int(rng.integers(0, m))
-        else:
-            r = int(rng.integers(0, 2 * m - 1))
-            cum = np.cumsum(nchildren[:m] + 1)
-            target = int(np.searchsorted(cum, r, side="right"))
-        parents[m] = target
-        nchildren[target] += 1
+    parents = np.concatenate([[-1], _targets(rng, 1, n - 1, *law)[0]])
+    nchildren = np.bincount(parents[1:], minlength=n)
     statistic = int(np.sum(nchildren == 0))
     result = GrowthResult(kind, n, statistic, seed)
     if return_structure:
@@ -241,90 +335,22 @@ def batch_recursive_leaves(
 ) -> np.ndarray:
     """Leaf counts of `reps` recursive trees; shape (reps,) at size n, or
     (reps, n) for all sizes 1..n with record_all."""
-    if kind not in ("uniform", "plane_oriented"):
-        raise ValueError("kind must be 'uniform' or 'plane_oriented'")
+    law = _recursive_law(kind)
     rng = make_generator(seed, _STREAM_TREES, 5)
-    rows = np.arange(reps)
-    childless = np.zeros((reps, n), dtype=bool)
-    childless[:, 0] = True
-    leaves = np.ones(reps, dtype=np.int64)
-    out = np.empty((reps, n), dtype=np.int64) if record_all else None
-    if record_all:
-        out[:, 0] = leaves
-    if kind == "plane_oriented":
-        # a vertex with c children owns c+1 plane-embedding gaps, so the
-        # slot list [.., target, new] stays weight-proportional in O(1)
-        dtype = np.int8 if n < 127 else np.int32
-        slots = np.zeros((reps, max(2 * n - 1, 1)), dtype=dtype)
-    for m in range(1, n):
-        if kind == "uniform":
-            target = rng.integers(0, m, size=reps)
-        else:
-            r = rng.integers(0, 2 * m - 1, size=reps)
-            target = slots[rows, r].astype(np.int64)
-            slots[:, 2 * m - 1] = target
-            slots[:, 2 * m] = m
-        was_leaf = childless[rows, target]
-        childless[rows, target] = False
-        childless[:, m] = True
-        leaves += 1 - was_leaf
-        if record_all:
-            out[:, m] = leaves
-    return out if record_all else leaves
+    return _grow_batch(rng, n, reps, record_all, law, partial(_unhit, base=1))
 
 
 def batch_pa_leaves(
     beta: float, n: int, reps: int, seed: int = DEFAULT_SEED, record_all: bool = False
 ) -> np.ndarray:
-    """Leaf counts of `reps` preferential-attachment graphs G_n.  For
-    beta = 0 sampling uses the repeated-endpoint slot array (O(1) per
-    draw); general beta uses weighted cumulative sums per step."""
+    """Leaf counts of `reps` preferential-attachment graphs G_n: a step
+    copies the target of a uniform earlier step, else picks a uniform
+    vertex, with the odds that make the weight deg + beta."""
     if beta <= -1:
         raise ValueError("beta must be > -1")
     rng = make_generator(seed, _STREAM_TREES, 6)
-    rows = np.arange(reps)
-    nv = n + 1
-    is_leaf = np.zeros((reps, nv), dtype=bool)
-    is_leaf[:, 0] = is_leaf[:, 1] = True
-    leaves = np.full(reps, 2, dtype=np.int64)
-    out = np.empty((reps, n), dtype=np.int64) if record_all else None
-    if record_all:
-        out[:, 0] = leaves
-    if beta == 0.0:
-        dtype = np.int8 if nv < 127 else np.int32
-        slots = np.zeros((reps, 2 * n), dtype=dtype)
-        slots[:, 1] = 1
-        for m in range(1, n):
-            r = rng.integers(0, 2 * m, size=reps)
-            target = slots[rows, r].astype(np.int64)
-            new = m + 1
-            slots[:, 2 * m] = target
-            slots[:, 2 * m + 1] = new
-            was_leaf = is_leaf[rows, target]
-            is_leaf[rows, target] = False
-            is_leaf[:, new] = True
-            leaves += 1 - was_leaf
-            if record_all:
-                out[:, m] = leaves
-    else:
-        degrees = np.zeros((reps, nv), dtype=np.int32)
-        degrees[:, 0] = degrees[:, 1] = 1
-        for m in range(1, n):
-            w = degrees[:, : m + 1] + beta
-            cum = np.cumsum(w, axis=1)
-            r = rng.random(reps) * cum[:, -1]
-            target = np.sum(cum <= r[:, None], axis=1)
-            target = np.minimum(target, m)
-            new = m + 1
-            degrees[rows, target] += 1
-            degrees[:, new] = 1
-            was_leaf = is_leaf[rows, target]
-            is_leaf[rows, target] = False
-            is_leaf[:, new] = True
-            leaves += 1 - was_leaf
-            if record_all:
-                out[:, m] = leaves
-    return out if record_all else leaves
+    law = _PA + (1.0 + float(beta),)
+    return _grow_batch(rng, n, reps, record_all, law, partial(_unhit, base=2))
 
 
 def batch_yule_cherries(
@@ -332,25 +358,7 @@ def batch_yule_cherries(
 ) -> np.ndarray:
     """Cherry counts of `reps` Yule trees grown to n leaves."""
     rng = make_generator(seed, _STREAM_TREES, 7)
-    rows = np.arange(reps)
-    partner = np.full((reps, max(n, 2)), -1, dtype=np.int32)
-    z = np.zeros(reps, dtype=np.int64)
-    out = np.empty((reps, n), dtype=np.int64) if record_all else None
-    if record_all:
-        out[:, 0] = 0
-    for m in range(1, n):
-        # m leaves now, slots 0..m-1; split leaf j into slots (j, m)
-        j = rng.integers(0, m, size=reps)
-        w = partner[rows, j]
-        had_partner = w >= 0
-        sub = rows[had_partner]
-        partner[sub, w[had_partner]] = -1
-        partner[rows, j] = m
-        partner[:, m] = j
-        z += ~had_partner
-        if record_all:
-            out[:, m] = z
-    return out if record_all else z
+    return _grow_batch(rng, n, reps, record_all, _UNIFORM, _cherries)
 
 
 def batch_stirling_plateaux(
@@ -358,29 +366,14 @@ def batch_stirling_plateaux(
 ) -> np.ndarray:
     """Plateau counts of `reps` random Stirling permutations of
     {1,1,...,n,n}; with record_all, plateau counts at every label count
-    k = 1..n (permutation length 2k, matching chain step k+1)."""
+    k = 1..n (permutation length 2k, matching chain step k+1).
+
+    Inserting aa into the gap of x y leaves (x a) at that gap's label and
+    appends (a a), a plateau, and (a y), so the odd labels are the plateaux
+    born and a plateau lasts until its gap is first hit (Janson, Kuba &
+    Panholzer, JCTA 2011)."""
     rng = make_generator(seed, _STREAM_TREES, 8)
-    width = 2 * n
-    code = np.zeros((reps, width), dtype=np.int8 if n < 127 else np.int32)
-    code[:, 0] = 1
-    code[:, 1] = 1
-    out = np.empty((reps, n), dtype=np.int64) if record_all else None
-    if record_all:
-        out[:, 0] = 1
-    cols = np.arange(width)[None, :]
-    for k in range(1, n):
-        length = 2 * k
-        pos = rng.integers(0, length + 1, size=reps)[:, None]
-        shifted = np.take_along_axis(code, np.maximum(cols - 2, 0), axis=1)
-        code = np.where(cols < pos, code, np.where(cols >= pos + 2, shifted, k + 1)).astype(
-            code.dtype
-        )
-        if record_all:
-            ln = length + 2
-            out[:, k] = np.sum(code[:, : ln - 1] == code[:, 1:ln], axis=1)
-    if record_all:
-        return out
-    return np.sum(code[:, :-1] == code[:, 1:], axis=1).astype(np.int64)
+    return _grow_batch(rng, n, reps, record_all, _GAPS, partial(_unhit, base=1, odd=True))
 
 
 def batch_pa_buds(

@@ -1,5 +1,6 @@
 """Chain module: slope sequences, presets, simulation, interpolation."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -105,6 +106,15 @@ def test_quenched_cache_grows_geometrically(monkeypatch):
     # growing the cache in jumps leaves the gamma stream unchanged
     fresh = RandomizedPASlope(0.0, (1, 2), (0.5, 0.5), seed=7)
     assert np.array_equal(s.gammas(1999), fresh.gammas(1999))
+
+
+def test_replaced_quenched_slope_draws_its_own_environment():
+    a = RandomizedPASlope(0, (1, 2), (0.5, 0.5), 3)
+    a.gammas(10)  # fill the cache before copying
+    b = dataclasses.replace(a, seed=4)
+    np.testing.assert_array_equal(b.gammas(10), RandomizedPASlope(0, (1, 2), (0.5, 0.5), 4).gammas(10))
+    np.testing.assert_array_equal(b.gammas(10), [2, 1, 1, 1, 1, 1, 1, 1, 1, 2])
+    np.testing.assert_array_equal(a.gammas(10), [2, 2, 2, 1, 2, 1, 1, 2, 1, 2])
 
 
 def test_preset_constructors_build_affine_slopes():

@@ -283,6 +283,42 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
     assert rc == 2 and out == "" and "tol" in err
 
 
+def test_config_rejects_values_of_the_wrong_type(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cases = [
+        ("pmf", {"n": "5", "model": "yule"}, "error: config key 'n' must be int, got \"5\"\n"),
+        ("path", {"x": 0.5, "alpha": 2}, "error: config key 'x' must be a list of float, got 0.5\n"),
+        ("pmf", {"n": 5.0, "model": "yule"}, "error: config key 'n' must be int, got 5.0\n"),
+        ("pmf", {"n": True, "model": "yule"}, "error: config key 'n' must be int, got true\n"),
+        ("pressure", {"alpha": "2"}, "error: config key 'alpha' must be float, got \"2\"\n"),
+        (
+            "pressure",
+            {"alpha": 2, "format": "xml"},
+            "error: config key 'format' must be one of csv, json, got \"xml\"\n",
+        ),
+        (
+            "pressure",
+            {"alpha": 2, "no-header-timestamp": 1},
+            "error: config key 'no-header-timestamp' must be true or false, got 1\n",
+        ),
+    ]
+    for command, stored, want in cases:
+        cfg.write_text(json.dumps(stored))
+        rc, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert (rc, out, err) == (2, "", want), stored
+
+
+def test_config_accepts_values_of_the_flag_types(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    # an int is a valid float, and a list of numbers is a valid repeated --x
+    cfg.write_text(json.dumps({"alpha": 2, "x": [0.5, 1 / 3], "no-header-timestamp": True}))
+    rc, out, _ = run_cli(capsys, "path", "--config", str(cfg), "--format", "json")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["config"]["x"] == [0.5, 1 / 3]
+    assert [p["x"] for p in doc["paths"]] == [0.5, 1 / 3]
+
+
 # ------------------------------------------------------------------- verify
 
 

@@ -23,7 +23,7 @@ from treeldp import (
     verify_clt,
 )
 from treeldp.chain import make_generator
-from treeldp.trees import _STREAM_TREES
+from treeldp.trees import _BLOCK, _STREAM_TREES
 
 GAMMA_HALF = {1: 0.5, 2: 0.5}
 
@@ -175,6 +175,85 @@ def test_batch_stirling_record_all_matches_final():
     out = batch_stirling_plateaux(9, 200, seed=3, record_all=True)
     np.testing.assert_array_equal(out[:, -1], batch_stirling_plateaux(9, 200, seed=3))
     assert np.all(out[:, 0] == 1)
+
+
+# ------------------------------------------------------------ batch kernel
+
+# (label, grower(n, reps, seed, record_all), preset, chain step of size n)
+BATCH_GROWERS = [
+    ("uniform", lambda n, r, s, rec: batch_recursive_leaves("uniform", n, r, s, rec), "uniform", 0),
+    (
+        "plane",
+        lambda n, r, s, rec: batch_recursive_leaves("plane_oriented", n, r, s, rec),
+        "plane_oriented",
+        0,
+    ),
+    ("pa0", lambda n, r, s, rec: batch_pa_leaves(0.0, n, r, s, rec), "pa:beta=0", 0),
+    ("pa1", lambda n, r, s, rec: batch_pa_leaves(1.0, n, r, s, rec), "pa:beta=1", 0),
+    ("pa-1/2", lambda n, r, s, rec: batch_pa_leaves(-0.5, n, r, s, rec), "pa:beta=-1/2", 0),
+    ("pa5/2", lambda n, r, s, rec: batch_pa_leaves(2.5, n, r, s, rec), "pa:beta=5/2", 0),
+    ("yule", lambda n, r, s, rec: batch_yule_cherries(n, r, s, rec), "yule", 0),
+    # k labels of a Stirling permutation follow the plane-oriented chain at step k + 1
+    ("stirling", lambda n, r, s, rec: batch_stirling_plateaux(n, r, s, rec), "plane_oriented", 1),
+    (
+        "buds",
+        lambda n, r, s, rec: batch_pa_buds(0.0, GAMMA_HALF, n, r, s, env_seed=13, record_all=rec),
+        "rpa:beta=0,gamma=1@0.5+2@0.5,seed=13",
+        0,
+    ),
+]
+
+each_batch_grower = pytest.mark.parametrize(
+    "label, grow, preset, shift", BATCH_GROWERS, ids=[g[0] for g in BATCH_GROWERS]
+)
+
+
+@each_batch_grower
+def test_batch_record_all_matches_chain_at_every_size(label, grow, preset, shift):
+    n = 12 - shift
+    stats = grow(n, 200_000, 3, True)
+    tv = tv_against_chain(stats, model_from_name(preset), range(1 + shift, n + 1 + shift))
+    assert tv.max() <= 0.01, (label, tv)
+
+
+@each_batch_grower
+def test_batch_last_column_is_the_endpoint_run(label, grow, preset, shift):
+    for n, reps in ((1, 5), (2, 5), (9, 300), (40, 7000)):
+        out = grow(n, reps, 4, True)
+        assert out.shape == (reps, n)
+        np.testing.assert_array_equal(out[:, -1], grow(n, reps, 4, False))
+
+
+# the statistic at sizes 1 and 2 (None: not forced)
+FORCED = {
+    "uniform": (1, 1), "plane": (1, 1), "pa0": (2, 2), "pa1": (2, 2), "pa-1/2": (2, 2),
+    "pa5/2": (2, 2), "yule": (0, 1), "stirling": (1, None), "buds": (2, 2),
+}
+
+
+@each_batch_grower
+def test_batch_forced_small_sizes(label, grow, preset, shift):
+    for n in (1, 2):
+        out = grow(n, 20, 6, True)
+        for j, want in enumerate(FORCED[label][:n]):
+            if want is not None:
+                assert np.all(out[:, j] == want), (label, n, j)
+        np.testing.assert_array_equal(grow(n, 20, 6, False), out[:, -1])
+
+
+@each_batch_grower
+def test_batch_spanning_blocks_stays_in_chain_support(label, grow, preset, shift):
+    # more replicates than one block of the kernel holds at n = 12
+    n = 12 - shift
+    reps = _BLOCK // (n - 1) + 1000
+    out = grow(n, reps, 8, True)
+    s = model_from_name(preset).slopes.values_float(n + shift)[shift:]
+    assert np.all(out >= 0) and np.all(out <= s)
+    steps = np.diff(out, axis=1)
+    assert np.all((steps == 0) | (steps == 1))
+    # the second block draws afresh rather than repeating the first
+    rows = _BLOCK // (n - 1)
+    assert np.any(out[:1000] != out[rows:])
 
 
 # ------------------------------------------------- distributional agreement
