@@ -34,8 +34,6 @@ LAMBDA_SWITCH = 1e-4
 _BRACKET_CAP = 50.0
 _QUAD_TOL = 1e-12
 
-_CLOSED_FORMS = {"closed_form_half": 0.5, "closed_form_one": 1.0, "closed_form_two": 2.0}
-
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge; message carries the
@@ -71,15 +69,14 @@ class PressureEval:
         if not self.alpha > 0:
             raise ValueError("alpha must be > 0")
         if self.method == "auto":
-            resolved = {
-                0.5: "closed_form_half",
-                1.0: "closed_form_one",
-                2.0: "closed_form_two",
-            }.get(float(self.alpha), "quadrature")
+            resolved = next(
+                (m for m, (a, _, _) in _CLOSED_FORMS.items() if a == float(self.alpha)), "quadrature"
+            )
             object.__setattr__(self, "method", resolved)
         if self.method in _CLOSED_FORMS:
-            if not math.isclose(self.alpha, _CLOSED_FORMS[self.method]):
-                raise ValueError(f"{self.method} requires alpha = {_CLOSED_FORMS[self.method]}")
+            a = _CLOSED_FORMS[self.method][0]
+            if not math.isclose(self.alpha, a):
+                raise ValueError(f"{self.method} requires alpha = {a}")
         elif self.method != "quadrature":
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -142,6 +139,14 @@ def _cf_two_d(lam: float) -> tuple[float, float]:
     d1 = 2.0 * el / em - em / den
     d2 = -2.0 * el / (em * em) - (el * den - em * em) / (den * den)
     return d1, d2
+
+
+# method: (alpha, Lambda, (Lambda', Lambda'')); every other alpha takes quadrature
+_CLOSED_FORMS = {
+    "closed_form_half": (0.5, _cf_half, _cf_half_d),
+    "closed_form_one": (1.0, _cf_one, _cf_one_d),
+    "closed_form_two": (2.0, _cf_two, _cf_two_d),
+}
 
 
 # ------------------------------------------------------------------ quadrature
@@ -223,12 +228,8 @@ def pressure(ev: PressureEval, lam: float) -> float:
             + sigma_sq(a) * lam * lam / 2.0
             + _lambda3(a) * lam**3 / 6.0
         )
-    if ev.method == "closed_form_half":
-        return _cf_half(lam)
-    if ev.method == "closed_form_one":
-        return _cf_one(lam)
-    if ev.method == "closed_form_two":
-        return _cf_two(lam)
+    if ev.method in _CLOSED_FORMS:
+        return _CLOSED_FORMS[ev.method][1](lam)
     return _quad_pressure(ev.alpha, lam)
 
 
@@ -247,12 +248,8 @@ def pressure_derivatives(ev: PressureEval, lam: float) -> tuple[float, float]:
             mean_slope(a) + sigma_sq(a) * lam + l3 * lam * lam / 2.0,
             sigma_sq(a) + l3 * lam,
         )
-    if ev.method == "closed_form_half":
-        return _cf_half_d(lam)
-    if ev.method == "closed_form_one":
-        return _cf_one_d(lam)
-    if ev.method == "closed_form_two":
-        return _cf_two_d(lam)
+    if ev.method in _CLOSED_FORMS:
+        return _CLOSED_FORMS[ev.method][2](lam)
     return _quad_derivs(a, lam)
 
 

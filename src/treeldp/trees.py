@@ -3,13 +3,13 @@ preferential-attachment graphs (leaves and buds), uniform and
 plane-oriented recursive trees, Yule trees (cherries), and Stirling
 permutations (plateaux), plus LLN/CLT statistical harnesses.
 
-Batch simulators are vectorized across replicates and can record the
-statistic at every intermediate size, which is what the distributional
-equivalence tests against the exact chain pmfs consume.  The leaf,
-cherry and plateau growers share one kernel: it draws the target of every
-step at once (a copy of an earlier step's target, or a uniform vertex or
-gap), so each statistic is a count of what no step has hit yet, taken
-over blocks of replicates of a fixed size.
+Batch growers are vectorized across replicates and can record the
+statistic at every size, which the distributional tests against the exact
+chain pmfs consume.  The leaf, cherry and plateau growers share one kernel:
+it draws the target of every step at once (a copy of an earlier step's
+target, or a uniform vertex or gap) for a block of replicates, and counts
+what no step has hit yet.  Each single run (grow_*) is its batch grower at
+reps = 1, with the structure rebuilt from the targets on request.
 """
 
 from __future__ import annotations
@@ -169,23 +169,47 @@ def _cherries(tgt: np.ndarray, record_all: bool) -> np.ndarray:
     return out
 
 
-def _grow_batch(rng, n: int, reps: int, record_all: bool, law: tuple, count) -> np.ndarray:
-    """`count` of the targets that `law` draws, one block of replicates at a
-    time: shape (reps,) at size n, or (reps, n) with record_all."""
+# A grower is (sub-stream, law, count).  Its batch runs draw blocks of
+# replicates from that sub-stream, and its single run is a batch of one.
+_YULE = (7, _UNIFORM, _cherries)
+_STIRLING = (8, _GAPS, partial(_unhit, base=1, odd=True))
+_BUDS = 9  # sub-stream of the bud chain, which draws two uniforms per step
+
+
+def _recursive(kind: str) -> tuple:
+    if kind not in ("uniform", "plane_oriented"):
+        raise ValueError("kind must be 'uniform' or 'plane_oriented'")
+    return 5, _UNIFORM if kind == "uniform" else _PLANE, partial(_unhit, base=1)
+
+
+def _pa(beta: float) -> tuple:
+    if beta <= -1:
+        raise ValueError("beta must be > -1")
+    return 6, _PA + (1.0 + float(beta),), partial(_unhit, base=2)
+
+
+def _grow_batch(grower: tuple, seed: int, n: int, reps: int, record_all: bool) -> np.ndarray:
+    """The grower's statistic for `reps` replicates, one block of at most
+    _BLOCK draws at a time: shape (reps,) at size n, or (reps, n) with
+    record_all."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    steps = n - 1
+    stream, law, count = grower
+    rng = make_generator(seed, _STREAM_TREES, stream)
     out = np.empty((reps, n) if record_all else reps, dtype=np.int64)
-    rows = max(1, _BLOCK // max(steps, 1))
+    rows = max(1, _BLOCK // max(n - 1, 1))
     for lo in range(0, reps, rows):
-        out[lo : lo + rows] = count(_targets(rng, min(rows, reps - lo), steps, *law), record_all)
+        out[lo : lo + rows] = count(_targets(rng, min(rows, reps - lo), n - 1, *law), record_all)
     return out
 
 
-def _recursive_law(kind: str) -> tuple:
-    if kind not in ("uniform", "plane_oriented"):
-        raise ValueError("kind must be 'uniform' or 'plane_oriented'")
-    return _UNIFORM if kind == "uniform" else _PLANE
+def _grow_one(grower: tuple, model: str, seed: int, n: int) -> tuple[np.ndarray, GrowthResult]:
+    """The targets and the result of `_grow_batch` at reps = 1."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    stream, law, count = grower
+    tgt = _targets(make_generator(seed, _STREAM_TREES, stream), 1, n - 1, *law)
+    return tgt[0], GrowthResult(model, n, int(count(tgt, False)[0]), seed)
 
 
 # ------------------------------------------------------------- single runs
@@ -201,24 +225,23 @@ def grow_pa_graph(
     """Grow G_n from a single-edge seed (vG1 = dG1 = 2), attaching each
     new vertex with weight deg + beta; returns the leaf count, or with
     multi_edge_pmf the bud count under the quenched multi-edge model.
+    Either mode is its batch grower at reps = 1 (batch_pa_leaves,
+    batch_pa_buds).
 
-    Bud selection is two-stage: a bud target with probability Z_n/s_n
-    (uniform among buds), otherwise weight-proportional among non-buds;
+    Bud selection is two-stage, from two uniforms per step: a coin picks
+    a bud target with probability Z_n/s_n, and the second uniform picks
+    it uniformly among buds, or else weight-proportionally among non-buds;
     this realizes the counting chain exactly and coincides with plain
     preferential attachment when gamma == 1.
     """
-    if beta <= -1:
-        raise ValueError("beta must be > -1")
+    grower = _pa(beta)  # refuses beta <= -1 in either mode
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = make_generator(seed, _STREAM_TREES, 1)
     if multi_edge_pmf is None:
-        tgt = _targets(rng, 1, n - 1, *_PA, 1.0 + float(beta))[0]
-        degrees = 1 + np.bincount(tgt, minlength=n + 1)
-        edges = [(0, 1, 1)] + [(m + 1, int(t), 1) for m, t in enumerate(tgt, 1)]
-        statistic = int(np.sum(degrees == 1))
-        result = GrowthResult(f"pa:beta={beta:g}", n, statistic, seed)
+        tgt, result = _grow_one(grower, f"pa:beta={beta:g}", seed, n)
         if return_structure:
+            degrees = 1 + np.bincount(tgt, minlength=n + 1)
+            edges = [(0, 1, 1)] + [(m + 1, int(t), 1) for m, t in enumerate(tgt, 1)]
             return result, {"degrees": degrees, "edges": edges}
         return result
 
@@ -226,105 +249,85 @@ def grow_pa_graph(
     slopes = RandomizedPASlope(beta, gv, gp, seed)
     gammas = slopes.gammas(max(n - 1, 1))
     svals = slopes.values_float(max(n - 1, 1))
-    nv = n + 1  # vG1 + n - 1
-    degrees = np.zeros(nv, dtype=np.int64)
+    rng = make_generator(seed, _STREAM_TREES, _BUDS)
+    degrees = np.zeros(n + 1, dtype=np.int64)  # vG1 + n - 1 vertices
     degrees[0] = degrees[1] = 1
-    is_bud = np.zeros(nv, dtype=bool)
+    is_bud = np.zeros(n + 1, dtype=bool)
     is_bud[0] = is_bud[1] = True
     edges = [(0, 1, 1)]
     z = 2
     for m in range(1, n):
         g = int(gammas[m - 1])
-        s = svals[m - 1]
-        if rng.random() < z / s:
+        coin, u = rng.random(2)
+        if coin < z / svals[m - 1]:
             buds = np.flatnonzero(is_bud[: m + 1])
-            target = int(buds[rng.integers(0, len(buds))])
+            target = int(buds[int(u * len(buds))])
         else:
-            w = np.where(is_bud[: m + 1], 0.0, degrees[: m + 1] + beta)
-            cum = np.cumsum(w)
-            target = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-            target = min(target, m)
-        new = m + 1
-        if is_bud[target]:
-            z -= 1
-            is_bud[target] = False
+            rest = np.flatnonzero(~is_bud[: m + 1])
+            cum = np.cumsum(degrees[rest] + beta)
+            target = int(rest[min(np.searchsorted(cum, u * cum[-1], side="right"), len(rest) - 1)])
+        z += not is_bud[target]  # the new vertex is a bud, a bud target no longer
+        is_bud[target] = False
+        is_bud[m + 1] = True
         degrees[target] += g
-        degrees[new] = g
-        is_bud[new] = True
-        z += 1
-        edges.append((new, target, g))
+        degrees[m + 1] = g
+        edges.append((m + 1, target, g))
     result = GrowthResult(slopes.label(), n, z, seed)
     if return_structure:
-        return result, {"degrees": degrees[: n + 1], "edges": edges, "is_bud": is_bud[: n + 1]}
+        return result, {"degrees": degrees, "edges": edges, "is_bud": is_bud}
     return result
 
 
 def grow_yule(n: int, seed: int = DEFAULT_SEED, return_structure: bool = False):
     """Yule tree with n leaves by uniform leaf splitting; statistic is the
-    cherry count (pairs of leaves sharing a parent)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = make_generator(seed, _STREAM_TREES, 2)
-    parent = {0: -1}
+    cherry count (pairs of leaves sharing a parent).  Replicate 0 of
+    batch_yule_cherries: step m splits the leaf in slot t into node 2m - 1,
+    which stays in slot t, and node 2m, which takes slot m."""
+    tgt, result = _grow_one(_YULE, "yule", seed, n)
+    if not return_structure:
+        return result
     children: dict[int, list[int]] = {}
     leaves = [0]
-    nxt = 1
-    for _ in range(n - 1):
-        j = int(rng.integers(0, len(leaves)))
-        node = leaves[j]
-        a, b = nxt, nxt + 1
-        nxt += 2
-        parent[a] = parent[b] = node
-        children[node] = [a, b]
-        leaves[j] = a
-        leaves.append(b)
-    cherries = 0
-    leafset = set(leaves)
-    for node, (a, b) in children.items():
-        if a in leafset and b in leafset:
-            cherries += 1
-    if len(leaves) == 1:
-        cherries = 0
-    result = GrowthResult("yule", n, cherries, seed)
-    if return_structure:
-        return result, {"parent": parent, "children": children, "leaves": leaves}
-    return result
+    for m, t in enumerate(tgt.tolist(), 1):
+        children[leaves[t]] = [2 * m - 1, 2 * m]
+        leaves[t] = 2 * m - 1
+        leaves.append(2 * m)
+    parent = {0: -1} | {c: p for p, pair in children.items() for c in pair}
+    return result, {"parent": parent, "children": children, "leaves": leaves}
 
 
 def grow_recursive(kind: str, n: int, seed: int = DEFAULT_SEED, return_structure: bool = False):
     """Uniform or plane-oriented recursive tree on n vertices; statistic is
     the number of childless vertices.  Plane-oriented attachment picks a
     vertex with weight (children + 1), i.e. one of the 2m - 1 insertion
-    slots of the plane embedding."""
-    law = _recursive_law(kind)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = make_generator(seed, _STREAM_TREES, 3)
-    parents = np.concatenate([[-1], _targets(rng, 1, n - 1, *law)[0]])
-    nchildren = np.bincount(parents[1:], minlength=n)
-    statistic = int(np.sum(nchildren == 0))
-    result = GrowthResult(kind, n, statistic, seed)
+    slots of the plane embedding.  Replicate 0 of batch_recursive_leaves."""
+    tgt, result = _grow_one(_recursive(kind), kind, seed, n)
     if return_structure:
-        return result, {"parents": parents, "nchildren": nchildren}
+        parents = np.concatenate([[-1], tgt])
+        return result, {"parents": parents, "nchildren": np.bincount(tgt, minlength=n)}
     return result
 
 
 def grow_stirling(n: int, seed: int = DEFAULT_SEED, return_structure: bool = False):
     """Random Stirling permutation of {1,1,...,n,n} built by inserting the
     pair (k+1)(k+1) into one of the 2k+1 gaps uniformly; statistic is the
-    plateau count (adjacent equal entries over positions 1..2n-1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = make_generator(seed, _STREAM_TREES, 4)
-    code = [1, 1]
-    for k in range(1, n):
-        pos = int(rng.integers(0, 2 * k + 1))
-        code[pos:pos] = [k + 1, k + 1]
-    plateaux = sum(1 for a, b in zip(code, code[1:]) if a == b)
-    result = GrowthResult("stirling", n, plateaux, seed)
-    if return_structure:
-        return result, {"code": tuple(code)}
-    return result
+    plateau count (adjacent equal entries over positions 1..2n-1).
+    Replicate 0 of batch_stirling_plateaux: with a = k+1, filling gap g of
+    x [g] y gives x [g] a [2k+1] a [2k+2] y."""
+    tgt, result = _grow_one(_STIRLING, "stirling", seed, n)
+    if not return_structure:
+        return result
+    # a linked list ending in -1: entries 2j and 2j+1 are the copies of label
+    # j+1, so gap g follows entry g - 1 and gap 0 the head, in slot -1
+    nxt = [0] * (2 * n + 1)
+    nxt[0], nxt[1] = 1, -1
+    for k, g in enumerate(tgt.tolist(), 1):
+        nxt[2 * k + 1], nxt[g - 1], nxt[2 * k] = nxt[g - 1], 2 * k, 2 * k + 1
+    code, e = [], nxt[-1]
+    while e >= 0:
+        code.append(e // 2 + 1)
+        e = nxt[e]
+    return result, {"code": tuple(code)}
 
 
 # ---------------------------------------------------------------- batch runs
@@ -335,9 +338,7 @@ def batch_recursive_leaves(
 ) -> np.ndarray:
     """Leaf counts of `reps` recursive trees; shape (reps,) at size n, or
     (reps, n) for all sizes 1..n with record_all."""
-    law = _recursive_law(kind)
-    rng = make_generator(seed, _STREAM_TREES, 5)
-    return _grow_batch(rng, n, reps, record_all, law, partial(_unhit, base=1))
+    return _grow_batch(_recursive(kind), seed, n, reps, record_all)
 
 
 def batch_pa_leaves(
@@ -346,19 +347,14 @@ def batch_pa_leaves(
     """Leaf counts of `reps` preferential-attachment graphs G_n: a step
     copies the target of a uniform earlier step, else picks a uniform
     vertex, with the odds that make the weight deg + beta."""
-    if beta <= -1:
-        raise ValueError("beta must be > -1")
-    rng = make_generator(seed, _STREAM_TREES, 6)
-    law = _PA + (1.0 + float(beta),)
-    return _grow_batch(rng, n, reps, record_all, law, partial(_unhit, base=2))
+    return _grow_batch(_pa(beta), seed, n, reps, record_all)
 
 
 def batch_yule_cherries(
     n: int, reps: int, seed: int = DEFAULT_SEED, record_all: bool = False
 ) -> np.ndarray:
     """Cherry counts of `reps` Yule trees grown to n leaves."""
-    rng = make_generator(seed, _STREAM_TREES, 7)
-    return _grow_batch(rng, n, reps, record_all, _UNIFORM, _cherries)
+    return _grow_batch(_YULE, seed, n, reps, record_all)
 
 
 def batch_stirling_plateaux(
@@ -372,8 +368,7 @@ def batch_stirling_plateaux(
     appends (a a), a plateau, and (a y), so the odd labels are the plateaux
     born and a plateau lasts until its gap is first hit (Janson, Kuba &
     Panholzer, JCTA 2011)."""
-    rng = make_generator(seed, _STREAM_TREES, 8)
-    return _grow_batch(rng, n, reps, record_all, _GAPS, partial(_unhit, base=1, odd=True))
+    return _grow_batch(_STIRLING, seed, n, reps, record_all)
 
 
 def batch_pa_buds(
@@ -390,19 +385,20 @@ def batch_pa_buds(
     two-stage target selection that realizes the chain exactly.  The bud
     count moves only with the stage-1 bud-vs-non-bud coin, so the vertex
     bookkeeping of stage 2 is marginalized out."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     gv, gp = _coerce_pmf(gamma_pmf)
     slopes = RandomizedPASlope(beta, gv, gp, seed if env_seed is None else env_seed)
     svals = slopes.values_float(max(n - 1, 1))
-    rng = make_generator(seed, _STREAM_TREES, 9)
+    rng = make_generator(seed, _STREAM_TREES, _BUDS)
     z = np.full(reps, 2, dtype=np.int64)
     out = np.empty((reps, n), dtype=np.int64) if record_all else None
     if record_all:
         out[:, 0] = z
     for m in range(1, n):
         z += rng.random(reps) >= z / svals[m - 1]
-        # stage 2 picked the target vertex from this draw; drawing it still
-        # keeps the stream, so each realization equals the full two-stage
-        # sampler's bit for bit
+        # the single run (grow_pa_graph) picks its target vertex from this
+        # draw; drawing it here keeps the batch at reps = 1 equal to that run
         rng.random(reps)
         if record_all:
             out[:, m] = z
@@ -416,6 +412,8 @@ def bud_lln_endpoints(
     replicate.  Under the two-stage sampler the bud count depends only on
     the bud-vs-non-bud selections, so the vertex bookkeeping is
     marginalized out exactly."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     gv, gp = _coerce_pmf(gamma_pmf)
     gv_arr = np.array(gv)
     cum_p = np.cumsum(np.asarray(gp, dtype=float))

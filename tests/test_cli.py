@@ -235,6 +235,23 @@ def test_simulate_endpoint_mode(capsys):
     assert all(1 <= int(r[1]) <= 50 for r in rows)
 
 
+def test_simulate_streams_are_pinned(capsys):
+    # the chain's sub-streams at a fixed seed: the trajectory walk (reps 1)
+    # and the endpoint walk (reps > 1)
+    base = ("simulate", "--model", "plane_oriented", "--n", "12", "--seed", "4",
+            "--no-header-timestamp")
+    rc, out, _ = run_cli(capsys, *base, "--reps", "1")
+    assert rc == 0
+    _, header, rows = csv_body(out)
+    assert header == ["step", "z"]
+    assert [int(r[1]) for r in rows] == [1, 1, 2, 2, 2, 3, 4, 5, 6, 6, 6, 7]
+    rc, out, _ = run_cli(capsys, *base, "--reps", "3")
+    assert rc == 0
+    _, header, rows = csv_body(out)
+    assert header == ["replicate", "z_n"]
+    assert rows == [["0", "5"], ["1", "9"], ["2", "9"]]
+
+
 def test_simulate_inadmissible_model_exits_2(capsys):
     for reps in ("1", "5"):
         rc, out, err = run_cli(

@@ -77,6 +77,12 @@ def test_grower_validation():
         grow_stirling(0)
     with pytest.raises(ValueError):
         grow_yule(0)
+    for n in (0, -4):
+        for record_all in (False, True):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                batch_pa_buds(0.0, {1: 1.0}, n, 3, record_all=record_all)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            bud_lln_endpoints(0.0, {1: 1.0}, n, 3)
 
 
 # ------------------------------------------------------- structure recounts
@@ -130,6 +136,19 @@ def test_yule_structure_recount():
     assert res.statistic == cherries
 
 
+def test_stirling_structure_recount():
+    for n in range(1, 41):
+        for seed in (0, 5):
+            res, extra = grow_stirling(n, seed=seed, return_structure=True)
+            code = extra["code"]
+            assert sorted(code) == sorted(2 * list(range(1, n + 1)))
+            for a in range(1, n + 1):
+                i = code.index(a)
+                j = code.index(a, i + 1)
+                assert all(b > a for b in code[i + 1 : j]), (n, seed, a)
+            assert res.statistic == sum(a == b for a, b in zip(code, code[1:]))
+
+
 def test_statistic_stays_in_chain_support():
     for name, run in [
         ("yule", lambda s: grow_yule(12, seed=s)),
@@ -175,6 +194,37 @@ def test_batch_stirling_record_all_matches_final():
     out = batch_stirling_plateaux(9, 200, seed=3, record_all=True)
     np.testing.assert_array_equal(out[:, -1], batch_stirling_plateaux(9, 200, seed=3))
     assert np.all(out[:, 0] == 1)
+
+
+# ---------------------------------------------------- single runs vs batches
+
+# (label, single run(n, seed), batch(n, reps, seed)); the single run is
+# replicate 0 of its batch at reps = 1
+SINGLE_AND_BATCH = [
+    ("uniform", lambda n, s: grow_recursive("uniform", n, s),
+     lambda n, r, s: batch_recursive_leaves("uniform", n, r, s)),
+    ("plane", lambda n, s: grow_recursive("plane_oriented", n, s),
+     lambda n, r, s: batch_recursive_leaves("plane_oriented", n, r, s)),
+    *[
+        (f"pa{beta:g}", lambda n, s, b=beta: grow_pa_graph(b, n, s),
+         lambda n, r, s, b=beta: batch_pa_leaves(b, n, r, s))
+        for beta in (0.0, 1.0, -0.5, 2.5)
+    ],
+    ("yule", grow_yule, batch_yule_cherries),
+    ("stirling", grow_stirling, batch_stirling_plateaux),
+    *[
+        (f"buds{i}", lambda n, s, g=gamma: grow_pa_graph(0.5, n, s, multi_edge_pmf=g),
+         lambda n, r, s, g=gamma: batch_pa_buds(0.5, g, n, r, s))
+        for i, gamma in enumerate((GAMMA_HALF, {1: 0.2, 3: 0.8}))
+    ],
+]
+
+
+@pytest.mark.parametrize("label, single, batch", SINGLE_AND_BATCH, ids=[g[0] for g in SINGLE_AND_BATCH])
+def test_single_run_is_replicate_zero_of_its_batch(label, single, batch):
+    for n in (1, 2, 3, 9, 40):
+        for seed in (0, 1, 7, 99):
+            assert single(n, seed).statistic == batch(n, 1, seed)[0], (label, n, seed)
 
 
 # ------------------------------------------------------------ batch kernel
