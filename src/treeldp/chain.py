@@ -49,6 +49,9 @@ DEFAULT_SEED = 20260819
 # and the chain draws never share randomness
 _STREAM_ENV = 101
 _STREAM_SIM = 202
+# uniforms per block of simulate_endpoints steps (128 KiB); larger blocks
+# run no faster
+_SIM_BLOCK = 1 << 14
 
 # integers below this magnitude are exact doubles
 _EXACT_INT = 2**53
@@ -424,13 +427,27 @@ def simulate_endpoints(
     rng = make_generator(seed, _STREAM_SIM)
     svals = model.slopes.values_float(max(n - 1, 1))
     z = np.full(reps, model.k0, dtype=np.int64)
-    for j in range(1, n):
-        s = svals[j - 1]
-        p = np.where(z == 0, 1.0, 1.0 - z / s)
-        worst = int(np.argmin(p))
-        if p[worst] < 0:
-            raise ValueError(f"state {z[worst]} exceeds slope {s} at step {j}")
-        z += rng.random(reps) < p
+    # a bound on max z: while it stays below s_j no state can exceed s_j
+    # and 1 - z/s_j is the law (z = 0 included), so max z is read again
+    # only when the bound reaches s_j
+    top = model.k0
+    rows = max(1, _SIM_BLOCK // reps)
+    for first in range(1, n, rows):
+        # one block of steps: the same stream as one rng.random(reps) per step
+        u = rng.random((min(rows, n - first), reps))
+        for j, u_j in enumerate(u, first):
+            s = svals[j - 1]
+            if top >= s:
+                top = int(z.max())
+            if top >= s:
+                p = np.where(z == 0, 1.0, 1.0 - z / s)
+                worst = int(np.argmin(p))
+                if p[worst] < 0:
+                    raise ValueError(f"state {z[worst]} exceeds slope {s} at step {j}")
+            else:
+                p = 1.0 - z / s
+            z += u_j < p
+            top += 1
     return z
 
 

@@ -5,7 +5,11 @@ estimators, tail probabilities, and real-rootedness certification.
 The exact path is integer arithmetic throughout: `exact_poly` steps
 integer numerators over one common denominator and builds its Fractions
 once at the end, and `certify_real_rooted` scales the coefficients to
-integers once and counts negative roots with a Sturm sequence of
+integers once.  A cofactor of degree d whose exact signs strictly
+alternate at d + 1 increasing rationals in [-B, 0] (B its Cauchy bound,
+the others geometric midpoints of floating root estimates) has d
+distinct negative roots; when the estimates do not give such
+separators, negative roots are counted with a Sturm sequence of
 primitive pseudo-remainders (Collins, J. ACM 1967).
 """
 
@@ -83,32 +87,45 @@ def pmf_start(model: ModelSpec) -> Pmf:
     return Pmf(1, model.k0, np.zeros(1))
 
 
-def _step(logp: np.ndarray, k0: int, s: float) -> np.ndarray:
-    """One step of P_{n+1}(k) = P_n(k) k/s_n + P_n(k-1) (1-(k-1)/s_n),
-    carried out in log space; logp holds log P_n over k0..k0+n-1.  A
-    reachable state above s_n has no law: that raises ValueError."""
-    n = len(logp)
+def _states(k0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """States k0..k0+n-1 as floats, and their logs (log 0 = -inf)."""
     ka = np.arange(k0, k0 + n, dtype=float)
+    with np.errstate(divide="ignore"):
+        return ka, np.log(ka)
+
+
+def _step(logp: np.ndarray, k0: int, s: float, ka: np.ndarray, logk: np.ndarray) -> np.ndarray:
+    """One step of P_{n+1}(k) = P_n(k) k/s_n + P_n(k-1) (1-(k-1)/s_n),
+    carried out in log space; logp holds log P_n over k0..k0+n-1, and
+    ka, logk hold (at least) those states and their logs.  A reachable
+    state above s_n has no law: that raises ValueError."""
+    n = len(logp)
+    ka = ka[:n]
     if ka[-1] > s:
         over = np.flatnonzero((ka > s) & np.isfinite(logp))
         if over.size:
             raise ValueError(f"state {k0 + int(over[-1])} exceeds slope {s} at step {n}")
+    new = np.empty(n + 1)
+    stay = new[:n]
+    np.subtract(logk[:n], math.log(s), out=stay)
+    np.add(logp, stay, out=stay)
+    new[n] = -np.inf
+    up = np.divide(ka, s)
+    np.clip(up, 0.0, 1.0, out=up)
+    np.negative(up, out=up)
     with np.errstate(divide="ignore"):
-        log_stay = np.where(ka > 0, np.log(np.maximum(ka, 1e-300)) - math.log(s), -np.inf)
-        ratio = np.clip(ka / s, 0.0, 1.0)
-        log_up = np.log1p(-ratio)
-        log_up[ratio >= 1.0] = -np.inf
-        if k0 == 0:
-            log_up[0] = 0.0  # 0/0 = 0 convention: growth is certain from zero
-    new = np.full(n + 1, -np.inf)
-    new[:n] = logp + log_stay
-    new[1:] = np.logaddexp(new[1:], logp + log_up)
+        np.log1p(up, out=up)  # -inf where k >= s_n
+    if k0 == 0:
+        up[0] = 0.0  # 0/0 = 0 convention: growth is certain from zero
+    np.add(logp, up, out=up)
+    np.logaddexp(new[1:], up, out=new[1:])
     return new
 
 
 def pmf_advance(p: Pmf, model: ModelSpec) -> Pmf:
     """The pmf of Z_{n+1} from that of Z_n."""
-    return Pmf(p.n + 1, p.k0, _step(p.logp, p.k0, float(model.slopes.value(p.n))))
+    s = float(model.slopes.value(p.n))
+    return Pmf(p.n + 1, p.k0, _step(p.logp, p.k0, s, *_states(p.k0, p.n)))
 
 
 def pmf_snapshots(model: ModelSpec, ns) -> dict[int, Pmf]:
@@ -119,11 +136,12 @@ def pmf_snapshots(model: ModelSpec, ns) -> dict[int, Pmf]:
         raise ValueError("n must be >= 1")
     n_max = max(wanted)
     svals = model.slopes.values_float(max(n_max - 1, 1))
+    ka, logk = _states(model.k0, n_max)
     p = pmf_start(model)
     logp = p.logp
     out = {1: p} if 1 in wanted else {}
     for m in range(1, n_max):
-        logp = _step(logp, model.k0, svals[m - 1])
+        logp = _step(logp, model.k0, svals[m - 1], ka, logk)
         if m + 1 in wanted:
             out[m + 1] = Pmf(m + 1, model.k0, logp)
     return out
@@ -273,12 +291,49 @@ def _negative_roots(p: list[int]) -> tuple[int, bool]:
     return _sign_changes(at_neg_inf) - _sign_changes(at_zero), len(chain[-1]) == 1
 
 
+def _sign_at(p: list[int], x: Fraction) -> int:
+    """Sign of p(x), exactly: homogenized integer Horner for
+    sum_k p_k a^k b^(d-k) with x = a/b, b > 0."""
+    a, b = x.numerator, x.denominator
+    acc, bpow = p[-1], b
+    for c in reversed(p[:-1]):
+        acc = acc * a + c * bpow
+        bpow *= b
+    return (acc > 0) - (acc < 0)
+
+
+def _alternates(p: list[int]) -> bool:
+    """True only if p (integer, p(0) != 0, degree d >= 1) has d distinct
+    negative roots, shown by strictly alternating exact signs at d + 1
+    increasing rationals -B < x_1 < ... < 0: one root per gap.  The
+    separators are the geometric midpoints of floating root estimates,
+    so False proves nothing: estimates that are not real, negative and
+    distinct, or that do not separate, leave the question to Sturm."""
+    try:
+        est = np.roots(np.array(p[::-1], dtype=float))
+    except OverflowError:
+        return False
+    if np.any(est.imag):
+        return False
+    mags = np.sort(-est.real)
+    if not (np.all(np.isfinite(mags)) and mags[0] > 0.0 and np.all(np.diff(mags) > 0.0)):
+        return False
+    mids = np.sqrt(mags[:-1]) * np.sqrt(mags[1:])
+    cauchy = 1 + -(-max(abs(c) for c in p[:-1]) // abs(p[-1]))
+    seps = [Fraction(-cauchy)] + [-Fraction(m) for m in mids[::-1].tolist()] + [Fraction(0)]
+    if any(lo >= hi for lo, hi in zip(seps, seps[1:])):
+        return False
+    signs = [_sign_at(p, x) for x in seps]
+    return all(s != 0 and s == -t for s, t in zip(signs, signs[1:]))
+
+
 def certify_real_rooted(poly: ExactPoly) -> RootReport:
-    """True iff every root of p_n is real and <= 0, proven by exact Sturm
-    counting: after stripping the u^m factor, the cofactor must have as
-    many distinct negative roots as its degree (hence all real, simple,
-    negative).  Monomial p_n (stationary prefixes, k0 = 0 starts) are
-    reported as their own case."""
+    """True iff every root of p_n is real and <= 0, proven exactly: after
+    stripping the u^m factor, the cofactor must have as many distinct
+    negative roots as its degree (hence all real, simple, negative).
+    Strict sign alternation at separating rationals shows that at once;
+    otherwise a Sturm count decides.  Monomial p_n (stationary prefixes,
+    k0 = 0 starts) are reported as their own case."""
     fracs = [Fraction(c) for c in poly.coeffs]
     scale = math.lcm(*(c.denominator for c in fracs))
     coeffs = [c.numerator * (scale // c.denominator) for c in fracs]
@@ -299,7 +354,7 @@ def certify_real_rooted(poly: ExactPoly) -> RootReport:
             monomial=True,
             note="monomial: all mass at one state (stationary prefix)",
         )
-    neg, squarefree = _negative_roots(coeffs)
+    neg, squarefree = (cof_deg, True) if _alternates(coeffs) else _negative_roots(coeffs)
     ok = squarefree and neg == cof_deg
     return RootReport(
         certified=ok,

@@ -36,6 +36,8 @@ _EPS_LAUNCH = 1e-8
 _KNOTS = np.concatenate([[0.0], np.linspace(1e-6, 1.0, 1001)])
 _SLOPE_TOL = 1e-9
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(30)
+# regular pieces per Gauss pass: bounds the (pieces x nodes) temporaries
+_GAUSS_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -116,33 +118,53 @@ def _constant_slope_cost(y: float, alpha: float) -> float:
     return local_cost(1.0, y, y, alpha)
 
 
-def _piece_cost(ta: float, tb: float, xa: float, y: float, alpha: float) -> float:
-    """Integral of L along one linear piece with ta > 0."""
-    xb = xa + y * (tb - ta)
-    ua, ub = alpha * ta, alpha * tb
-    if xa > ua + 1e-13 or xb > ub + 1e-13:
-        return math.inf  # leaves the admissible cone
-    if xa <= _SLOPE_TOL and y <= 0.0:
-        return math.inf  # lingers on the zero line
-    if abs(xa - ua) <= 1e-14 and abs(y - alpha) <= 1e-14 and y > 0.0:
-        return math.inf  # rides the upper boundary
-    singular_left = xa <= _SLOPE_TOL and y < 1.0
-    singular_upper = (ua - xa) <= 1e-12 or (ub - xb) <= 1e-12
+def _singular_cost(ta: float, tb: float, xa: float, y: float, alpha: float) -> float:
+    """Integral of L along one piece with an integrable log singularity at
+    an endpoint, by the adaptive rule."""
 
     def f(t: float) -> float:
         x = min(max(xa + y * (t - ta), 0.0), alpha * t)
         return local_cost(t, x, y, alpha)
 
-    if singular_left or singular_upper:
-        # integrable log singularity at an endpoint: adaptive rule
-        val, _ = quad(f, ta, tb, epsabs=1e-13, epsrel=1e-13, limit=200)
-        return val
-    mid = 0.5 * (ta + tb)
-    half = 0.5 * (tb - ta)
-    vals = np.array([f(t) for t in mid + half * _GAUSS_NODES])
-    if not np.all(np.isfinite(vals)):
-        return math.inf
-    return half * float(np.dot(_GAUSS_WEIGHTS, vals))
+    val, _ = quad(f, ta, tb, epsabs=1e-13, epsrel=1e-13, limit=200)
+    return val
+
+
+def _gauss_costs(ta, tb, xa, y, alpha: float) -> np.ndarray:
+    """Integrals of L along regular pieces by the Gauss rule, all pieces at
+    once; the elementwise arithmetic is local_cost's."""
+    t = 0.5 * (ta + tb)[:, None] + 0.5 * (tb - ta)[:, None] * _GAUSS_NODES
+    u = alpha * t
+    y = y[:, None]
+    x = np.minimum(np.maximum(xa[:, None] + y * (t - ta[:, None]), 0.0), u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = (np.where(y == 0.0, 0.0, y * np.log(u / (u - x) * y))
+                + np.where(y == 1.0, 0.0, (1.0 - y) * np.log(u / x * (1.0 - y))))
+    cost = 0.5 * (tb - ta) * (vals @ _GAUSS_WEIGHTS)
+    cost[~np.isfinite(vals).all(axis=1)] = np.inf
+    return cost
+
+
+def _piece_costs(ta, tb, xa, y, alpha: float) -> np.ndarray:
+    """Integral of L along each linear piece (arrays, ta > 0); all +inf as
+    soon as one piece leaves the admissible cone, lingers on the zero line
+    or rides the upper boundary."""
+    xb = xa + y * (tb - ta)
+    ua, ub = alpha * ta, alpha * tb
+    infinite = ((xa > ua + 1e-13) | (xb > ub + 1e-13)
+                | ((xa <= _SLOPE_TOL) & (y <= 0.0))
+                | ((np.abs(xa - ua) <= 1e-14) & (np.abs(y - alpha) <= 1e-14) & (y > 0.0)))
+    cost = np.full(len(ta), np.inf)
+    if infinite.any():
+        return cost
+    singular = ((xa <= _SLOPE_TOL) & (y < 1.0)) | (ua - xa <= 1e-12) | (ub - xb <= 1e-12)
+    for i in np.flatnonzero(singular):
+        cost[i] = _singular_cost(float(ta[i]), float(tb[i]), float(xa[i]), float(y[i]), alpha)
+    regular = np.flatnonzero(~singular)
+    for j in range(0, len(regular), _GAUSS_CHUNK):
+        idx = regular[j : j + _GAUSS_CHUNK]
+        cost[idx] = _gauss_costs(ta[idx], tb[idx], xa[idx], y[idx], alpha)
+    return cost
 
 
 def path_rate(phi: PathFunction, alpha: float) -> float:
@@ -151,23 +173,18 @@ def path_rate(phi: PathFunction, alpha: float) -> float:
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
     knots = phi.knots
-    values = phi.values
     slopes = np.clip(phi.slopes(), 0.0, 1.0)
-    total = 0.0
-    for i, y in enumerate(slopes):
-        ta, tb = knots[i], knots[i + 1]
-        if i == 0:
-            # the first piece leaves 0 linearly: the integrand is constant
-            c = _constant_slope_cost(float(y), alpha)
-            if math.isinf(c):
-                return math.inf
-            total += (tb - ta) * c
-            continue
-        c = _piece_cost(float(ta), float(tb), float(values[i]), float(y), alpha)
-        if math.isinf(c):
-            return math.inf
+    # the first piece leaves 0 linearly: the integrand is constant
+    first = _constant_slope_cost(float(slopes[0]), alpha)
+    if math.isinf(first):
+        return math.inf
+    costs = _piece_costs(knots[1:-1], knots[2:], phi.values[1:-1], slopes[1:], alpha)
+    if np.isinf(costs).any():
+        return math.inf
+    total = (knots[1] - knots[0]) * first
+    for c in costs.tolist():
         total += c
-    return total
+    return float(total)
 
 
 @dataclass(frozen=True)

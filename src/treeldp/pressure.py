@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -263,6 +264,15 @@ def ode_residual(ev: PressureEval, lam: float) -> float:
     return math.exp(L) - (1.0 - math.exp(lam)) / ev.alpha * d1 - math.exp(lam)
 
 
+def _slope(ev: PressureEval, lam: float) -> float:
+    """Lambda' without Lambda'': quadrature skips the third integral and
+    keeps the expression order of _quad_derivs, so the double is the same."""
+    if ev.method == "quadrature" and abs(lam) >= LAMBDA_SWITCH:
+        c = math.expm1(lam)
+        return (c + 1.0) * _J(ev.alpha, 2, c) / _J(ev.alpha - 1.0, 1, c)
+    return pressure_derivatives(ev, lam)[0]
+
+
 @dataclass(frozen=True)
 class RatePoint:
     x: float
@@ -273,17 +283,20 @@ class RatePoint:
 def rate(ev: PressureEval, x: float) -> RatePoint:
     """Legendre transform I(x) = sup_lambda {lambda x - Lambda(lambda)},
     solved via the strictly increasing Lambda'.  x = 1 is the limiting
-    case: I(1) = log(alpha/(alpha-1)) for alpha > 1, +inf otherwise."""
+    case: I(1) = log(alpha/(alpha-1)) for alpha > 1, +inf otherwise.
+    For alpha < 1, x in (alpha, 1) is +inf as well: Z_n <= s_n."""
     if not 0.0 < x <= 1.0:
         raise ValueError("x must lie in (0, 1]")
     a = ev.alpha
-    if x == 1.0:
-        if a > 1.0:
-            return RatePoint(1.0, math.inf, math.log(a / (a - 1.0)))
-        return RatePoint(1.0, math.inf, math.inf)
+    if x == 1.0 and a > 1.0:
+        return RatePoint(1.0, math.inf, math.log(a / (a - 1.0)))
+    if x == 1.0 or x > a:
+        return RatePoint(x, math.inf, math.inf)
 
+    # memoized, so brentq reuses the bracket ends the doubling evaluated
+    @lru_cache(maxsize=None)
     def f(lam: float) -> float:
-        return pressure_derivatives(ev, lam)[0] - x
+        return _slope(ev, lam) - x
 
     lo, hi = -1.0, 1.0
     while f(lo) > 0.0:

@@ -194,8 +194,39 @@ def test_simulate_endpoints_refuses_inadmissible_model():
     msg = "state 1 exceeds slope 0.6 at step 2"
     with pytest.raises(ValueError, match=msg):
         simulate(m, 6)
-    with pytest.raises(ValueError, match=msg):
-        simulate_endpoints(m, 6, 5)
+    # reps = 300000 draws one step per block, reps = 5 the whole walk
+    for reps in (5, 300_000):
+        with pytest.raises(ValueError, match=msg):
+            simulate_endpoints(m, 6, reps)
+
+
+def _simulate_endpoints_reference(model, n, reps, seed):
+    """The endpoint walk before its draws were blocked: one rng.random(reps)
+    and one full state check per step."""
+    rng = make_generator(seed, chain._STREAM_SIM)
+    svals = model.slopes.values_float(max(n - 1, 1))
+    z = np.full(reps, model.k0, dtype=np.int64)
+    for j in range(1, n):
+        s = svals[j - 1]
+        p = np.where(z == 0, 1.0, 1.0 - z / s)
+        worst = int(np.argmin(p))
+        if p[worst] < 0:
+            raise ValueError(f"state {z[worst]} exceeds slope {s} at step {j}")
+        z += rng.random(reps) < p
+    return z
+
+
+@pytest.mark.parametrize(
+    "preset",
+    ["uniform", "plane_oriented", "yule", "pa:beta=1", "linear:alpha=2,k0=0", "linear:alpha=1,k0=1",
+     "rpa:beta=0,gamma=1@0.5+2@0.5,seed=3"],
+)
+def test_simulate_endpoints_equals_the_per_step_walk(preset):
+    m = model_from_name(preset)
+    # reps = 3000 takes five steps per block, reps = 1 the whole walk
+    for n, reps, seed in ((1, 4, 0), (2, 5, 1), (300, 1, 2), (700, 3000, 3), (2000, 300, 4)):
+        want = _simulate_endpoints_reference(m, n, reps, seed)
+        assert np.array_equal(simulate_endpoints(m, n, reps, seed), want)
 
 
 def test_endpoint_matches_trajectory_distribution():

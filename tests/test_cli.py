@@ -113,6 +113,15 @@ def test_rate_json_contract(capsys):
     assert min(doc["rows"], key=lambda r: r[2])[0] == pytest.approx(0.7)
 
 
+def test_rate_beyond_reach_is_inf(capsys):
+    # alpha = 1/2: no Z_n exceeds s_n = n/2, so every x in (1/2, 1] costs +inf
+    rc, out, _ = run_cli(capsys, "rate", "--alpha", "0.5", "--x-grid", "0.9:1.0:0.1")
+    assert rc == 0
+    _, header, rows = csv_body(out)
+    assert header == ["x", "lambda_star", "rate"]
+    assert [r[1:] for r in rows] == [["inf", "inf"], ["inf", "inf"]]
+
+
 # --------------------------------------------------------------------- path
 
 

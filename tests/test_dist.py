@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from treeldp import dist
 from treeldp import (
     ExactPoly,
     LinearSlope,
@@ -342,3 +343,113 @@ def test_certificate_plane_n10():
     rep = certify_real_rooted(exact_poly(model_from_name("plane_oriented"), 10))
     assert rep.certified
     assert rep.distinct_negative_roots == rep.cofactor_degree
+
+
+def _step_reference(logp, k0, s):
+    """The pmf step as it was before log k was hoisted: every array fresh."""
+    n = len(logp)
+    ka = np.arange(k0, k0 + n, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_stay = np.where(ka > 0, np.log(np.maximum(ka, 1e-300)) - math.log(s), -np.inf)
+        ratio = np.clip(ka / s, 0.0, 1.0)
+        log_up = np.log1p(-ratio)
+        log_up[ratio >= 1.0] = -np.inf
+        if k0 == 0:
+            log_up[0] = 0.0
+    new = np.full(n + 1, -np.inf)
+    new[:n] = logp + log_stay
+    new[1:] = np.logaddexp(new[1:], logp + log_up)
+    return new
+
+
+@pytest.mark.parametrize(
+    "preset",
+    PRESETS + ["pa:beta=1", "pa:beta=-1/2", "linear:alpha=2,k0=0", "rpa:beta=0,gamma=1@0.5+2@0.5,seed=3"],
+)
+def test_pmf_is_bit_identical_to_the_fresh_array_step(preset):
+    model = model_from_name(preset)
+    ns = (1, 2, 3, 17, 300, 1200)
+    snaps = pmf_snapshots(model, ns)
+    svals = model.slopes.values_float(max(ns))
+    logp = np.zeros(1)
+    p = pmf_start(model)
+    for n in range(1, max(ns) + 1):
+        if n in snaps:
+            assert np.array_equal(snaps[n].logp, logp)
+        if n <= 300:
+            assert np.array_equal(p.logp, logp)
+            p = pmf_advance(p, model)
+        logp = _step_reference(logp, model.k0, svals[n - 1])
+
+
+def _cofactor(poly):
+    """(zero-root multiplicity, integer cofactor) of p_n, ascending."""
+    fracs = [Fraction(c) for c in poly.coeffs]
+    scale = math.lcm(*(c.denominator for c in fracs))
+    coeffs = [c.numerator * (scale // c.denominator) for c in fracs]
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    mult = next(k for k, c in enumerate(coeffs) if c)
+    return mult, coeffs[mult:]
+
+
+def _sturm_report(poly):
+    """certify_real_rooted as it was before the alternation fast path:
+    every cofactor goes through the Sturm count."""
+    mult, coeffs = _cofactor(poly)
+    if len(coeffs) == 1:
+        return dist.RootReport(True, mult, 0, 0, True, True, "monomial: all mass at one state (stationary prefix)")
+    neg, squarefree = dist._negative_roots(coeffs)
+    ok = squarefree and neg == len(coeffs) - 1
+    return dist.RootReport(ok, mult, len(coeffs) - 1, neg, ok, False, "" if ok else REFUSED)
+
+
+@pytest.mark.parametrize("preset", ["uniform", "plane_oriented", "yule", "pa:beta=0", "pa:beta=1"])
+def test_certificate_alternation_matches_sturm_on_presets(preset):
+    model = model_from_name(preset)
+    for n in range(1, 41):
+        poly = exact_poly(model, n)
+        assert certify_real_rooted(poly) == _sturm_report(poly)
+        cof = _cofactor(poly)[1]
+        # every preset cofactor is certified by alternation alone
+        assert len(cof) == 1 or dist._alternates(cof)
+
+
+def _poly_from_roots(roots, quadratics=()):
+    """Ascending integer coefficients of prod (u - r) * prod (u^2 + a u + b)."""
+    coeffs = [1]
+    for f in [(-r, 1) for r in roots] + [(b, a, 1) for a, b in quadratics]:
+        out = [0] * (len(coeffs) + len(f) - 1)
+        for i, c in enumerate(coeffs):
+            for j, g in enumerate(f):
+                out[i + j] += c * g
+        coeffs = out
+    return coeffs
+
+
+def test_certificate_alternation_matches_sturm_on_random_polynomials():
+    rng = np.random.default_rng(11)
+    polys = []
+    for _ in range(150):
+        d = int(rng.integers(1, 12))
+        roots = [-int(r) for r in rng.integers(1, 40, d)]  # negative, maybe repeated
+        kind = rng.integers(0, 4)
+        if kind == 1:
+            roots[0] = int(rng.integers(1, 9))  # one positive root
+        quads = [(int(rng.integers(-3, 4)), int(rng.integers(5, 30)))] if kind == 2 else []
+        if kind == 3:
+            roots = list(dict.fromkeys(roots))  # distinct negative roots
+        polys.append(_poly_from_roots(roots, quads))
+    polys += [[int(c) for c in rng.integers(-50, 50, int(rng.integers(2, 10)))] for _ in range(150)]
+    # coefficients beyond double range: the float estimates overflow
+    polys.append(_poly_from_roots([-(10**400), -1, -2]))
+    polys.append(_poly_from_roots([-(10**400), -1], [(0, 1)]))
+    certified = 0
+    for coeffs in polys:
+        if not any(coeffs) or coeffs[-1] == 0:
+            continue
+        poly = ExactPoly(len(coeffs), 0, tuple(Fraction(c) for c in coeffs))
+        rep = certify_real_rooted(poly)
+        assert rep == _sturm_report(poly), coeffs
+        certified += rep.certified
+    assert certified > 30

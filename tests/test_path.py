@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeldp import path as path_mod
 from treeldp import (
     PathFunction,
     PressureEval,
@@ -221,3 +223,71 @@ def test_euler_refuses_targets_beyond_the_launch():
     # the launch costate leaves double range before phi(1) gets this low
     with pytest.raises(ValueError, match="beyond the reach of the launch"):
         euler_solve(2.0, 1e-200)
+
+
+def _piece_cost_reference(ta, tb, xa, y, alpha):
+    """One linear piece as path_rate costed it before the pieces were
+    batched: scalar local_cost at each Gauss node, or the adaptive rule."""
+    xb = xa + y * (tb - ta)
+    ua, ub = alpha * ta, alpha * tb
+    if xa > ua + 1e-13 or xb > ub + 1e-13:
+        return math.inf
+    if xa <= 1e-9 and y <= 0.0:
+        return math.inf
+    if abs(xa - ua) <= 1e-14 and abs(y - alpha) <= 1e-14 and y > 0.0:
+        return math.inf
+
+    def f(t):
+        return local_cost(t, min(max(xa + y * (t - ta), 0.0), alpha * t), y, alpha)
+
+    if (xa <= 1e-9 and y < 1.0) or (ua - xa) <= 1e-12 or (ub - xb) <= 1e-12:
+        return quad(f, ta, tb, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+    nodes, weights = np.polynomial.legendre.leggauss(30)
+    vals = np.array([f(t) for t in 0.5 * (ta + tb) + 0.5 * (tb - ta) * nodes])
+    if not np.all(np.isfinite(vals)):
+        return math.inf
+    return 0.5 * (tb - ta) * float(np.dot(weights, vals))
+
+
+def _path_rate_reference(phi, alpha):
+    slopes = np.clip(phi.slopes(), 0.0, 1.0)
+    total = 0.0
+    for i, y in enumerate(slopes):
+        ta, tb = phi.knots[i], phi.knots[i + 1]
+        if i == 0:
+            c = (tb - ta) * path_mod._constant_slope_cost(float(y), alpha)
+        else:
+            c = _piece_cost_reference(float(ta), float(tb), float(phi.values[i]), float(y), alpha)
+        if math.isinf(c):
+            return math.inf
+        total += c
+    return total
+
+
+def test_path_rate_matches_the_scalar_piece_loop():
+    rng = np.random.default_rng(3)
+    cases = [(euler_solve(2.0, 0.13).path, 2.0)]
+    cases += [(PathFunction.line(x, 7), a) for a in (0.5, 1.0, 2.0) for x in (0.0, 0.1, 0.5, 1.0)]
+    cases += [
+        (PathFunction([0.0, 0.5, 1.0], [0.0, 0.0, 0.5]), 2.0),  # leaves the zero line: singular
+        (PathFunction([0.0, 0.3, 0.6, 1.0], [0.0, 0.3, 0.6, 0.7]), 1.0),  # on phi = t: singular
+        (PathFunction([0.0, 0.2, 0.6, 1.0], [0.0, 0.1, 0.1, 0.5]), 2.0),
+        (PathFunction([0.0, 0.5, 1.0], [0.0, 0.25, 0.5]), 0.5),  # rides alpha t: inf
+        (PathFunction([0.0, 0.4, 1.0], [0.0, 0.0, 0.0]), 2.0),  # lingers on zero: inf
+    ]
+    for _ in range(60):
+        k = int(rng.integers(2, 60))
+        t = np.concatenate([[0.0], np.sort(rng.random(k - 2)), [1.0]])
+        s = rng.random(k - 1) * rng.choice([1.0, 0.5, 0.2])
+        s[rng.integers(0, k - 1, 2)] = rng.choice([0.0, 1.0], 2)
+        phi = PathFunction(t, np.concatenate([[0.0], np.cumsum(s * np.diff(t))]))
+        cases.append((phi, float(rng.choice([0.5, 1.0, 1.5, 2.0, 3.0]))))
+    finite = 0
+    for phi, alpha in cases:
+        got, want = path_rate(phi, alpha), _path_rate_reference(phi, alpha)
+        if math.isinf(want):
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
+            finite += 1
+    assert finite > 20

@@ -4,11 +4,13 @@ and the Legendre-transform rate function."""
 import math
 
 import pytest
+from scipy.optimize import brentq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeldp import (
     PressureEval,
+    RatePoint,
     mean_slope,
     ode_residual,
     pressure,
@@ -124,9 +126,11 @@ def test_rate_domain():
         rate(ev, 0.0)
     with pytest.raises(ValueError):
         rate(ev, 1.5)
-    # for alpha = 1/2 slopes beyond 1/2 are unreachable: the solver says so
-    with pytest.raises(ValueError, match="upper edge"):
-        rate(PressureEval(0.5), 0.6)
+    # for alpha < 1 slopes beyond alpha are unreachable (Z_n <= s_n): +inf,
+    # as at x = 1
+    for alpha, x in ((0.5, 0.6), (0.5, 0.9), (0.75, 0.76), (0.3, 0.99), (0.99, 0.995)):
+        assert rate(PressureEval(alpha), x) == RatePoint(x, math.inf, math.inf)
+    assert rate(PressureEval(0.5), 1.0) == RatePoint(1.0, math.inf, math.inf)
 
 
 def test_constants_formulas():
@@ -152,3 +156,30 @@ def test_quadrature_methods_agree_on_general_alpha():
     ev = PressureEval(1.5)
     for lam in (-3.0, -0.4, 0.9, 3.0):
         assert abs(ode_residual(ev, lam)) <= 1e-8
+
+
+def _rate_reference(ev, x):
+    """rate as it was before Lambda' got its own kernel: brentq on the
+    first component of pressure_derivatives, unmemoized."""
+
+    def f(lam):
+        return pressure_derivatives(ev, lam)[0] - x
+
+    lo, hi = -1.0, 1.0
+    while f(lo) > 0.0:
+        lo *= 2.0
+    while f(hi) < 0.0:
+        hi *= 2.0
+    lam_star = 0.0 if abs(f(0.0)) < 1e-15 else brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)
+    return lam_star, lam_star * x - pressure(ev, lam_star)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0, 20.0])
+def test_rate_is_bit_identical_to_the_full_derivative_route(alpha):
+    ev = PressureEval(alpha)
+    xs = [0.05 + 0.9 * k / 13 for k in range(14)] + [mean_slope(alpha), 0.5 * mean_slope(alpha)]
+    for x in xs:
+        if x >= min(alpha, 1.0) - 0.02:
+            continue
+        r = rate(ev, x)
+        assert (r.lambda_star, r.rate) == _rate_reference(ev, x), x

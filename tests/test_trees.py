@@ -23,7 +23,7 @@ from treeldp import (
     verify_clt,
 )
 from treeldp.chain import make_generator
-from treeldp.trees import _BLOCK, _STREAM_TREES
+from treeldp.trees import _BLOCK, _STREAM_TREES, _ks_normal
 
 GAMMA_HALF = {1: 0.5, 2: 0.5}
 
@@ -411,6 +411,19 @@ def test_verify_clt_degenerate():
     rep = verify_clt(model_from_name("plane_oriented"), 1, 50)
     assert rep.empirical_var == 0.0
     assert rep.ks_distance == 1.0
+
+
+def test_ks_distance_matches_scipy_kstest():
+    from scipy import stats
+
+    rng = np.random.default_rng(2)
+    for i in range(40):
+        n, sigma = int(rng.integers(2, 2000)), float(rng.uniform(0.1, 2.0))
+        x = rng.normal(0.0, sigma, n)
+        if i % 2:
+            x = np.round(3.0 * x) / 3.0  # ties, as integer counts give
+        want = stats.kstest(x, "norm", args=(0.0, sigma)).statistic
+        assert _ks_normal(x, sigma) == want
 
 
 def test_verify_clt_plane():
