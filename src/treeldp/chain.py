@@ -425,8 +425,12 @@ def simulate_endpoints(
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be >= 1")
     rng = make_generator(seed, _STREAM_SIM)
-    svals = model.slopes.values_float(max(n - 1, 1))
-    z = np.full(reps, model.k0, dtype=np.int64)
+    svals = model.slopes.values_float(max(n - 1, 1)).tolist()
+    # the states as doubles, stepped in place: each count is an integer
+    # below 2^53, so z / s is the same double an int64 state would give
+    z = np.full(reps, float(model.k0))
+    p = np.empty(reps)
+    up = np.empty(reps, dtype=bool)
     # a bound on max z: while it stays below s_j no state can exceed s_j
     # and 1 - z/s_j is the law (z = 0 included), so max z is read again
     # only when the bound reaches s_j
@@ -439,16 +443,17 @@ def simulate_endpoints(
             s = svals[j - 1]
             if top >= s:
                 top = int(z.max())
+            np.divide(z, s, out=p)
+            np.subtract(1.0, p, out=p)
             if top >= s:
-                p = np.where(z == 0, 1.0, 1.0 - z / s)
+                p[z == 0] = 1.0
                 worst = int(np.argmin(p))
                 if p[worst] < 0:
-                    raise ValueError(f"state {z[worst]} exceeds slope {s} at step {j}")
-            else:
-                p = 1.0 - z / s
-            z += u_j < p
+                    raise ValueError(f"state {int(z[worst])} exceeds slope {s} at step {j}")
+            np.less(u_j, p, out=up)
+            z += up
             top += 1
-    return z
+    return z.astype(np.int64)
 
 
 def interpolate(traj: Trajectory, t: float) -> float:

@@ -284,12 +284,16 @@ def rate(ev: PressureEval, x: float) -> RatePoint:
     """Legendre transform I(x) = sup_lambda {lambda x - Lambda(lambda)},
     solved via the strictly increasing Lambda'.  x = 1 is the limiting
     case: I(1) = log(alpha/(alpha-1)) for alpha > 1, +inf otherwise.
-    For alpha < 1, x in (alpha, 1) is +inf as well: Z_n <= s_n."""
+    For alpha < 1, x = alpha is the limiting case instead, with
+    I(alpha) = log(alpha pi / sin(pi alpha)), and x in (alpha, 1] is +inf:
+    Z_n <= s_n."""
     if not 0.0 < x <= 1.0:
         raise ValueError("x must lie in (0, 1]")
     a = ev.alpha
     if x == 1.0 and a > 1.0:
         return RatePoint(1.0, math.inf, math.log(a / (a - 1.0)))
+    if x == a < 1.0:
+        return RatePoint(a, math.inf, math.log(a * math.pi / math.sin(math.pi * a)))
     if x == 1.0 or x > a:
         return RatePoint(x, math.inf, math.inf)
 

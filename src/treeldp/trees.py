@@ -8,8 +8,10 @@ statistic at every size, which the distributional tests against the exact
 chain pmfs consume.  The leaf, cherry and plateau growers share one kernel:
 it draws the target of every step at once (a copy of an earlier step's
 target, or a uniform vertex or gap) for a block of replicates, and counts
-what no step has hit yet.  Each single run (grow_*) is its batch grower at
-reps = 1, with the structure rebuilt from the targets on request.
+what no step has hit yet.  A copy repeats a vertex an earlier step hit, so
+the counts read only the direct draws; copies are followed only to rebuild
+a structure.  Each single run (grow_*) is its batch grower at reps = 1,
+with the structure rebuilt from the resolved targets on request.
 """
 
 from __future__ import annotations
@@ -92,71 +94,100 @@ _PA = (True, 1, 1)  # weight deg + beta: (m - 1) + (m + 1)(1 + beta) in all
 _GAPS = (False, 1, 2)  # one of the 2m + 1 gaps of a Stirling permutation
 
 
-def _targets(rng, rows: int, steps: int, copies: bool, v0: int, dv: int, weight: float = 1.0):
-    """Targets of steps m = 1..steps for `rows` replicates, shape (rows, steps).
+def _targets(rng, reps: int, steps: int, copies: bool, v0: int, dv: int, weight: float = 1.0,
+             resolve: bool = False):
+    """Targets of steps m = 1..steps for `reps` replicates, as pairs of a
+    block of shape (rows, steps), at most _BLOCK draws, and the number of
+    vertices after the last step, nvert = v0 + dv*steps.
 
     Copy unit r takes the target of step r + 1.  A vertex has one degree
     unit per earlier step that chose it, so copies plus `weight` per vertex
     are weight deg + beta attachment (Krapivsky & Redner, PRE 63, 066123).
-    Copies point at earlier steps and are resolved by pointer jumping.
+    A copy repeats a vertex that an earlier step hit, so it is never a first
+    hit and no count needs its target: a copy step holds the dummy id nvert.
+    Only a rebuilt structure (`resolve`) follows copies, by pointer jumping.
     """
     m = np.arange(1, steps + 1)
     ncopy = m - 1 if copies else 0
     nvert = v0 + dv * m
-    u = rng.random((rows, steps)) * (ncopy + nvert * weight)
-    vert = np.minimum(((u - ncopy) / weight).astype(np.intp), nvert - 1)
-    if not copies:
-        return vert
-    ptr = np.where(u < ncopy, u.astype(np.intp), m - 1) + steps * np.arange(rows)[:, None]
-    ptr = ptr.ravel()
-    while True:
-        nxt = ptr[ptr]
-        if np.array_equal(nxt, ptr):
-            break
-        ptr = nxt
-    return vert.ravel()[ptr].reshape(rows, steps)
+    total, cap = ncopy + nvert * weight, nvert - 1
+    dummy = v0 + dv * steps  # one past the last vertex
+    rows = max(1, _BLOCK // max(steps, 1))
+    for lo in range(0, reps, rows):
+        u = rng.random((min(rows, reps - lo), steps))
+        u *= total
+        if copies:
+            copy = u < ncopy
+            src = np.where(copy, u.astype(np.intp), m - 1) if resolve else None
+            u -= ncopy
+        if weight != 1.0:
+            u /= weight
+        vert = u.astype(np.intp)
+        np.minimum(vert, cap, out=vert)
+        if copies and resolve:
+            ptr = (src + steps * np.arange(len(src))[:, None]).ravel()
+            while True:
+                nxt = ptr[ptr]
+                if np.array_equal(nxt, ptr):
+                    break
+                ptr = nxt
+            vert = vert.ravel()[ptr].reshape(vert.shape)
+        elif copies:
+            np.maximum(vert, copy * dummy, out=vert)  # a copy has vert <= 0
+        yield vert, dummy
 
 
-def _per_target(ufunc, tgt: np.ndarray, empty: int):
-    """`ufunc` over the step numbers that hit each target of a row (`empty`
-    if none), shape (rows, width), and that value read back at every step,
-    shape (rows, steps)."""
+def _flat(tgt: np.ndarray, width: int) -> np.ndarray:
+    """Each target's index in a (rows, width) table flattened row by row."""
+    return (tgt + width * np.arange(len(tgt))[:, None]).ravel()
+
+
+def _per_target(ufunc, tgt: np.ndarray, width: int, empty: int):
+    """`ufunc` over the step numbers that hit each target 0..width - 1 of a
+    row (`empty` if none), shape (rows, width), and that value read back at
+    every step, shape (rows, steps)."""
     rows, steps = tgt.shape
-    width = int(tgt.max(initial=0)) + 1
-    key = (tgt + width * np.arange(rows)[:, None]).ravel()
+    key = _flat(tgt, width)
     red = np.full(rows * width, empty)
     ufunc.at(red, key, np.tile(np.arange(1, steps + 1), rows))
     return red.reshape(rows, width), red[key].reshape(rows, steps)
 
 
-def _unhit(tgt: np.ndarray, record_all: bool, base: int, odd: bool = False) -> np.ndarray:
-    """The vertices (odd gaps when `odd`) no step has hit yet: `base` at
-    the start, one more per step, one fewer per first hit."""
+def _unhit(tgt: np.ndarray, nvert: int, record_all: bool, base: int, odd: bool = False) -> np.ndarray:
+    """The vertices 0..nvert - 1 (odd gaps when `odd`) no step has hit yet:
+    `base` at the start, one more per step, one fewer per first hit.  A
+    copy (the dummy nvert) is never a first hit."""
     rows, steps = tgt.shape
+    if not record_all:
+        seen = np.zeros((rows, nvert + 1), dtype=bool)
+        seen.ravel()[_flat(tgt, nvert + 1)] = True
+        return base + steps - np.count_nonzero(seen[:, 1:nvert:2] if odd else seen[:, :nvert], axis=1)
     m = np.arange(1, steps + 1)
-    fresh = _per_target(np.minimum, tgt, steps + 1)[1] == m
+    fresh = (_per_target(np.minimum, tgt, nvert + 1, steps + 1)[1] == m) & (tgt < nvert)
     if odd:
         fresh &= tgt % 2 == 1
-    if not record_all:
-        return base + steps - fresh.sum(axis=1)
     out = np.empty((rows, steps + 1), dtype=np.int64)
     out[:, 0] = base
     out[:, 1:] = base + m - np.cumsum(fresh, axis=1)
     return out
 
 
-def _cherries(tgt: np.ndarray, record_all: bool) -> np.ndarray:
+def _cherries(tgt: np.ndarray, nvert: int, record_all: bool) -> np.ndarray:
     """Yule cherries from the leaf slot each step splits: step m turns slot
     tgt[m] into the pair (tgt[m], m), a cherry until either is split again,
-    i.e. until min(next sibling of m, first child of m)."""
+    i.e. until min(next sibling of m, first child of m).  The slots are
+    0..nvert, so at the end the cherries are the steps m that split their
+    slot last and whose own slot m no step split."""
     rows, steps = tgt.shape
     m = np.arange(1, steps + 1)
-    hits = _per_target(np.minimum, tgt, steps + 1)[0]
-    child = np.full((rows, steps), steps + 1)  # first split of slot m
-    child[:, : hits.shape[1] - 1] = hits[:, 1:]
     if not record_all:
-        is_last = _per_target(np.maximum, tgt, 0)[1] == m
-        return np.sum(is_last & (child > steps), axis=1)
+        # int32 halves the memory the scatter and the gather touch
+        last = np.zeros((rows, nvert + 1), dtype=np.int32)  # 0: never split
+        key = _flat(tgt, nvert + 1)
+        np.maximum.at(last.ravel(), key, np.tile(m.astype(np.int32), rows))
+        is_last = last.ravel()[key].reshape(rows, steps) == m
+        return np.count_nonzero(is_last & (last[:, 1:] == 0), axis=1)
+    child = _per_target(np.minimum, tgt, nvert + 1, steps + 1)[0][:, 1:]  # first split of slot m
     order = np.argsort(tgt, axis=1, kind="stable")
     srt = np.take_along_axis(tgt, order, axis=1)
     sibling = np.full((rows, steps), steps + 1)
@@ -197,19 +228,24 @@ def _grow_batch(grower: tuple, seed: int, n: int, reps: int, record_all: bool) -
     stream, law, count = grower
     rng = make_generator(seed, _STREAM_TREES, stream)
     out = np.empty((reps, n) if record_all else reps, dtype=np.int64)
-    rows = max(1, _BLOCK // max(n - 1, 1))
-    for lo in range(0, reps, rows):
-        out[lo : lo + rows] = count(_targets(rng, min(rows, reps - lo), n - 1, *law), record_all)
+    lo = 0
+    for tgt, nvert in _targets(rng, reps, n - 1, *law):
+        out[lo : lo + len(tgt)] = count(tgt, nvert, record_all)
+        lo += len(tgt)
     return out
 
 
-def _grow_one(grower: tuple, model: str, seed: int, n: int) -> tuple[np.ndarray, GrowthResult]:
-    """The targets and the result of `_grow_batch` at reps = 1."""
+def _grow_one(
+    grower: tuple, model: str, seed: int, n: int, structure: bool
+) -> tuple[np.ndarray, GrowthResult]:
+    """The targets and the result of `_grow_batch` at reps = 1; with
+    `structure`, every copy is resolved to the vertex it hits."""
     if n < 1:
         raise ValueError("n must be >= 1")
     stream, law, count = grower
-    tgt = _targets(make_generator(seed, _STREAM_TREES, stream), 1, n - 1, *law)
-    return tgt[0], GrowthResult(model, n, int(count(tgt, False)[0]), seed)
+    rng = make_generator(seed, _STREAM_TREES, stream)
+    tgt, nvert = next(_targets(rng, 1, n - 1, *law, resolve=structure))
+    return tgt[0], GrowthResult(model, n, int(count(tgt, nvert, False)[0]), seed)
 
 
 # ------------------------------------------------------------- single runs
@@ -238,7 +274,7 @@ def grow_pa_graph(
     if n < 1:
         raise ValueError("n must be >= 1")
     if multi_edge_pmf is None:
-        tgt, result = _grow_one(grower, f"pa:beta={beta:g}", seed, n)
+        tgt, result = _grow_one(grower, f"pa:beta={beta:g}", seed, n, return_structure)
         if return_structure:
             degrees = 1 + np.bincount(tgt, minlength=n + 1)
             edges = [(0, 1, 1)] + [(m + 1, int(t), 1) for m, t in enumerate(tgt, 1)]
@@ -283,7 +319,7 @@ def grow_yule(n: int, seed: int = DEFAULT_SEED, return_structure: bool = False):
     cherry count (pairs of leaves sharing a parent).  Replicate 0 of
     batch_yule_cherries: step m splits the leaf in slot t into node 2m - 1,
     which stays in slot t, and node 2m, which takes slot m."""
-    tgt, result = _grow_one(_YULE, "yule", seed, n)
+    tgt, result = _grow_one(_YULE, "yule", seed, n, return_structure)
     if not return_structure:
         return result
     children: dict[int, list[int]] = {}
@@ -301,7 +337,7 @@ def grow_recursive(kind: str, n: int, seed: int = DEFAULT_SEED, return_structure
     the number of childless vertices.  Plane-oriented attachment picks a
     vertex with weight (children + 1), i.e. one of the 2m - 1 insertion
     slots of the plane embedding.  Replicate 0 of batch_recursive_leaves."""
-    tgt, result = _grow_one(_recursive(kind), kind, seed, n)
+    tgt, result = _grow_one(_recursive(kind), kind, seed, n, return_structure)
     if return_structure:
         parents = np.concatenate([[-1], tgt])
         return result, {"parents": parents, "nchildren": np.bincount(tgt, minlength=n)}
@@ -314,7 +350,7 @@ def grow_stirling(n: int, seed: int = DEFAULT_SEED, return_structure: bool = Fal
     plateau count (adjacent equal entries over positions 1..2n-1).
     Replicate 0 of batch_stirling_plateaux: with a = k+1, filling gap g of
     x [g] y gives x [g] a [2k+1] a [2k+2] y."""
-    tgt, result = _grow_one(_STIRLING, "stirling", seed, n)
+    tgt, result = _grow_one(_STIRLING, "stirling", seed, n, return_structure)
     if not return_structure:
         return result
     # a linked list ending in -1: entries 2j and 2j+1 are the copies of label

@@ -219,14 +219,28 @@ def _simulate_endpoints_reference(model, n, reps, seed):
 @pytest.mark.parametrize(
     "preset",
     ["uniform", "plane_oriented", "yule", "pa:beta=1", "linear:alpha=2,k0=0", "linear:alpha=1,k0=1",
-     "rpa:beta=0,gamma=1@0.5+2@0.5,seed=3"],
+     "linear:alpha=1/2,k0=0", "rpa:beta=0,gamma=1@0.5+2@0.5,seed=3", "rpa:beta=1,gamma=1@0.2+3@0.8,seed=5"],
 )
 def test_simulate_endpoints_equals_the_per_step_walk(preset):
     m = model_from_name(preset)
-    # reps = 3000 takes five steps per block, reps = 1 the whole walk
-    for n, reps, seed in ((1, 4, 0), (2, 5, 1), (300, 1, 2), (700, 3000, 3), (2000, 300, 4)):
+    # reps = 3000 takes five steps per block, reps = 1 the whole walk;
+    # n = 10000 with 2000 replicates is the benchmark's shape
+    for n, reps, seed in ((1, 4, 0), (2, 5, 1), (300, 1, 2), (700, 3000, 3), (2000, 300, 4),
+                          (10_000, 2000, 5)):
         want = _simulate_endpoints_reference(m, n, reps, seed)
-        assert np.array_equal(simulate_endpoints(m, n, reps, seed), want)
+        got = simulate_endpoints(m, n, reps, seed)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+def test_simulate_endpoints_refuses_as_the_per_step_walk_does():
+    m = model_from_name("linear:alpha=0.3,k0=0")
+    for n, reps, seed in ((3, 1, 0), (6, 5, 1), (40, 3000, 2), (6, 300_000, 3)):
+        with pytest.raises(ValueError) as want:
+            _simulate_endpoints_reference(m, n, reps, seed)
+        with pytest.raises(ValueError) as got:
+            simulate_endpoints(m, n, reps, seed)
+        assert str(got.value) == str(want.value)
 
 
 def test_endpoint_matches_trajectory_distribution():

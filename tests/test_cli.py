@@ -122,6 +122,18 @@ def test_rate_beyond_reach_is_inf(capsys):
     assert [r[1:] for r in rows] == [["inf", "inf"], ["inf", "inf"]]
 
 
+def test_rate_grid_through_alpha_below_one(capsys):
+    # x = alpha = 1/2 costs log(pi/2) and no longer aborts the grid
+    rc, out, _ = run_cli(capsys, "rate", "--alpha", "0.5", "--x-grid", "0.4:1.0:0.1")
+    assert rc == 0
+    _, _, rows = csv_body(out)
+    assert len(rows) == 7
+    assert float(rows[0][2]) > 0.0
+    assert rows[1][:2] == ["0.5", "inf"]
+    assert float(rows[1][2]) == pytest.approx(math.log(math.pi / 2), rel=1e-15)
+    assert [r[1:] for r in rows[2:]] == [["inf", "inf"]] * 5
+
+
 # --------------------------------------------------------------------- path
 
 

@@ -133,6 +133,17 @@ def test_rate_domain():
     assert rate(PressureEval(0.5), 1.0) == RatePoint(1.0, math.inf, math.inf)
 
 
+def test_rate_at_alpha_below_one():
+    # for alpha < 1 the reachable slopes end at x = alpha, where the rate is
+    # log(alpha pi / sin(pi alpha)): log(pi/2) at alpha = 1/2
+    assert rate(PressureEval(0.5), 0.5) == RatePoint(0.5, math.inf, math.log(math.pi / 2))
+    pt = rate(PressureEval(0.75), 0.75)
+    assert pt.lambda_star == math.inf
+    assert pt.rate == pytest.approx(math.log(3 * math.pi / (2 * math.sqrt(2))), rel=1e-14)
+    # the finite rates below the edge approach it
+    assert rate(PressureEval(0.5), 0.499999).rate == pytest.approx(math.log(math.pi / 2), abs=1e-4)
+
+
 def test_constants_formulas():
     assert mean_slope(3.0) == 0.75
     assert sigma_sq(2.0) == pytest.approx(1 / 9, abs=1e-15)

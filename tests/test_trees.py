@@ -1,9 +1,12 @@
 """Tree growers: exact small-case laws, structural bookkeeping, and
 agreement in distribution with the counting chain."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+from treeldp import trees
 from treeldp import (
     DEFAULT_SEED,
     ModelSpec,
@@ -304,6 +307,159 @@ def test_batch_spanning_blocks_stays_in_chain_support(label, grow, preset, shift
     # the second block draws afresh rather than repeating the first
     rows = _BLOCK // (n - 1)
     assert np.any(out[:1000] != out[rows:])
+
+
+# ------------------------------------------- pointer-jumping reference kernel
+
+
+def _ref_targets(rng, rows, steps, copies, v0, dv, weight=1.0):
+    """Targets of steps m = 1..steps with every copy resolved by pointer
+    jumping: copy unit r takes the target of step r + 1."""
+    m = np.arange(1, steps + 1)
+    ncopy = m - 1 if copies else 0
+    nvert = v0 + dv * m
+    u = rng.random((rows, steps)) * (ncopy + nvert * weight)
+    vert = np.minimum(((u - ncopy) / weight).astype(np.intp), nvert - 1)
+    if not copies:
+        return vert
+    ptr = np.where(u < ncopy, u.astype(np.intp), m - 1) + steps * np.arange(rows)[:, None]
+    ptr = ptr.ravel()
+    while True:
+        nxt = ptr[ptr]
+        if np.array_equal(nxt, ptr):
+            break
+        ptr = nxt
+    return vert.ravel()[ptr].reshape(rows, steps)
+
+
+def _ref_per_target(ufunc, tgt, empty):
+    rows, steps = tgt.shape
+    width = int(tgt.max(initial=0)) + 1
+    key = (tgt + width * np.arange(rows)[:, None]).ravel()
+    red = np.full(rows * width, empty)
+    ufunc.at(red, key, np.tile(np.arange(1, steps + 1), rows))
+    return red.reshape(rows, width), red[key].reshape(rows, steps)
+
+
+def _ref_unhit(tgt, record_all, base, odd=False):
+    rows, steps = tgt.shape
+    m = np.arange(1, steps + 1)
+    fresh = _ref_per_target(np.minimum, tgt, steps + 1)[1] == m
+    if odd:
+        fresh &= tgt % 2 == 1
+    if not record_all:
+        return base + steps - fresh.sum(axis=1)
+    out = np.empty((rows, steps + 1), dtype=np.int64)
+    out[:, 0] = base
+    out[:, 1:] = base + m - np.cumsum(fresh, axis=1)
+    return out
+
+
+def _ref_cherries(tgt, record_all):
+    rows, steps = tgt.shape
+    m = np.arange(1, steps + 1)
+    hits = _ref_per_target(np.minimum, tgt, steps + 1)[0]
+    child = np.full((rows, steps), steps + 1)
+    child[:, : hits.shape[1] - 1] = hits[:, 1:]
+    if not record_all:
+        is_last = _ref_per_target(np.maximum, tgt, 0)[1] == m
+        return np.sum(is_last & (child > steps), axis=1)
+    order = np.argsort(tgt, axis=1, kind="stable")
+    srt = np.take_along_axis(tgt, order, axis=1)
+    sibling = np.full((rows, steps), steps + 1)
+    nxt = np.where(srt[:, 1:] == srt[:, :-1], order[:, 1:] + 1, steps + 1)
+    np.put_along_axis(sibling, order[:, :-1], nxt, axis=1)
+    death = np.minimum(sibling, child) + (steps + 2) * np.arange(rows)[:, None]
+    deaths = np.bincount(death.ravel(), minlength=rows * (steps + 2)).reshape(rows, steps + 2)
+    out = np.zeros((rows, steps + 1), dtype=np.int64)
+    out[:, 1:] = m - np.cumsum(deaths[:, 1 : steps + 1], axis=1)
+    return out
+
+
+# label -> (sub-stream, law, reference count), with the sub-streams written out
+KERNEL_REFERENCE = {
+    "uniform": (5, (False, 0, 1), partial(_ref_unhit, base=1)),
+    "plane": (5, (True, 0, 1), partial(_ref_unhit, base=1)),
+    **{
+        label: (6, (True, 1, 1, 1.0 + beta), partial(_ref_unhit, base=2))
+        for label, beta in (("pa0", 0.0), ("pa1", 1.0), ("pa-1/2", -0.5), ("pa5/2", 2.5))
+    },
+    "yule": (7, (False, 0, 1), _ref_cherries),
+    "stirling": (8, (False, 1, 2), partial(_ref_unhit, base=1, odd=True)),
+}
+
+# label -> single run(n, seed, return_structure)
+SINGLE_RUNS = {
+    "uniform": lambda n, s, st: grow_recursive("uniform", n, s, st),
+    "plane": lambda n, s, st: grow_recursive("plane_oriented", n, s, st),
+    "pa0": lambda n, s, st: grow_pa_graph(0.0, n, s, return_structure=st),
+    "pa1": lambda n, s, st: grow_pa_graph(1.0, n, s, return_structure=st),
+    "pa-1/2": lambda n, s, st: grow_pa_graph(-0.5, n, s, return_structure=st),
+    "pa5/2": lambda n, s, st: grow_pa_graph(2.5, n, s, return_structure=st),
+    "yule": grow_yule,
+    "stirling": grow_stirling,
+}
+
+
+def _ref_batch(label, n, reps, seed, record_all):
+    """The grower's statistic from the reference kernel, block by block."""
+    stream, law, count = KERNEL_REFERENCE[label]
+    rng = make_generator(seed, _STREAM_TREES, stream)
+    rows = max(1, _BLOCK // max(n - 1, 1))
+    return np.concatenate(
+        [count(_ref_targets(rng, min(rows, reps - lo), n - 1, *law), record_all)
+         for lo in range(0, reps, rows)]
+    )
+
+
+kernel_growers = pytest.mark.parametrize(
+    "label, grow, preset, shift",
+    [g for g in BATCH_GROWERS if g[0] in KERNEL_REFERENCE],
+    ids=[g[0] for g in BATCH_GROWERS if g[0] in KERNEL_REFERENCE],
+)
+
+
+@kernel_growers
+def test_kernel_equals_the_pointer_jumping_reference(label, grow, preset, shift):
+    for n in (1, 2, 3, 9, 40, 333, 2000, 30011):
+        reps = 40 if n <= 2000 else 3
+        for seed in (0, 1, 7):
+            for record_all in (False, True):
+                want = _ref_batch(label, n, reps, seed, record_all)
+                assert np.array_equal(grow(n, reps, seed, record_all), want), (n, seed, record_all)
+    # many blocks of the kernel
+    for record_all in (False, True):
+        want = _ref_batch(label, 12, 300_000, 2, record_all)
+        assert np.array_equal(grow(12, 300_000, 2, record_all), want), record_all
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return type(a) is type(b) and a == b
+
+
+@kernel_growers
+def test_single_runs_and_structures_equal_the_reference(label, grow, preset, shift, monkeypatch):
+    # the structures rebuilt from the reference kernel's resolved targets
+    stream, law, count = KERNEL_REFERENCE[label]
+    single = SINGLE_RUNS[label]
+    cases = [(n, seed) for n in (1, 2, 3, 9, 40, 333, 2000) for seed in (0, 1, 7)]
+    got = [single(n, seed, True) for n, seed in cases]
+
+    def reference_blocks(rng, reps, steps, copies, v0, dv, weight=1.0, resolve=False):
+        yield _ref_targets(rng, reps, steps, copies, v0, dv, weight), v0 + dv * steps
+
+    monkeypatch.setattr(trees, "_targets", reference_blocks)
+    want = [single(n, seed, True) for n, seed in cases]
+    monkeypatch.undo()
+    for (n, seed), (res, extra), (_, want_extra) in zip(cases, got, want):
+        tgt = _ref_targets(make_generator(seed, _STREAM_TREES, stream), 1, n - 1, *law)
+        assert res.statistic == count(tgt, False)[0], (n, seed)
+        assert single(n, seed, False) == res
+        assert _same(extra, want_extra), (n, seed)
 
 
 # ------------------------------------------------- distributional agreement
