@@ -153,7 +153,9 @@ def _per_target(ufunc, tgt: np.ndarray, width: int, empty: int):
     return red.reshape(rows, width), red[key].reshape(rows, steps)
 
 
-def _unhit(tgt: np.ndarray, nvert: int, record_all: bool, base: int, odd: bool = False) -> np.ndarray:
+def _unhit(
+    tgt: np.ndarray, nvert: int, record_all: bool, base: int, odd: bool = False
+) -> np.ndarray:
     """The vertices 0..nvert - 1 (odd gaps when `odd`) no step has hit yet:
     `base` at the start, one more per step, one fewer per first hit.  A
     copy (the dummy nvert) is never a first hit."""
@@ -161,7 +163,8 @@ def _unhit(tgt: np.ndarray, nvert: int, record_all: bool, base: int, odd: bool =
     if not record_all:
         seen = np.zeros((rows, nvert + 1), dtype=bool)
         seen.ravel()[_flat(tgt, nvert + 1)] = True
-        return base + steps - np.count_nonzero(seen[:, 1:nvert:2] if odd else seen[:, :nvert], axis=1)
+        real = seen[:, 1:nvert:2] if odd else seen[:, :nvert]
+        return base + steps - np.count_nonzero(real, axis=1)
     m = np.arange(1, steps + 1)
     fresh = (_per_target(np.minimum, tgt, nvert + 1, steps + 1)[1] == m) & (tgt < nvert)
     if odd:

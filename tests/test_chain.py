@@ -219,7 +219,8 @@ def _simulate_endpoints_reference(model, n, reps, seed):
 @pytest.mark.parametrize(
     "preset",
     ["uniform", "plane_oriented", "yule", "pa:beta=1", "linear:alpha=2,k0=0", "linear:alpha=1,k0=1",
-     "linear:alpha=1/2,k0=0", "rpa:beta=0,gamma=1@0.5+2@0.5,seed=3", "rpa:beta=1,gamma=1@0.2+3@0.8,seed=5"],
+     "linear:alpha=1/2,k0=0", "rpa:beta=0,gamma=1@0.5+2@0.5,seed=3",
+     "rpa:beta=1,gamma=1@0.2+3@0.8,seed=5"],
 )
 def test_simulate_endpoints_equals_the_per_step_walk(preset):
     m = model_from_name(preset)
