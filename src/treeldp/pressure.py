@@ -1,12 +1,16 @@
 """Pressure Lambda(lambda), its derivatives, ODE residual diagnostics,
 and the Legendre transform to the rate function I(x).
 
-Closed forms exist for alpha in {1/2, 1, 2}.  For general alpha the
-substitution v = (e^s - 1)/(e^lambda - 1) turns the defining integral
-into Lambda = -log(alpha * J0) with J0 = int_0^1 v^(alpha-1)/(1+cv) dv,
-c = e^lambda - 1, and differentiating under the integral sign yields
-first and second derivatives from two further quadratures.  That route
-never uses the pressure ODE, so ode_residual stays a genuine check.
+Closed forms exist for alpha in {1/2, 1, 2}.  For general alpha (method
+"quadrature", the name kept from its first implementation) Lambda =
+-log(alpha J0) with J0 = int_0^1 v^(alpha-1)/(1+cv) dv, c = e^lambda - 1,
+and the derivatives come from two more integrals of the same kind.  These
+are Gauss hypergeometric values, J0 = 2F1(1, alpha; alpha+1; -c)/alpha,
+evaluated by scipy.special.hyp2f1 for -3 < lambda <= log 3 and by two
+connection series outside that band: the log case in e^lambda below it,
+and a series in 1/c above it.  Both are exact in their tails, and the
+route is limited to alpha <= 50.  It never uses the pressure ODE, so
+ode_residual stays a genuine check.
 """
 
 from __future__ import annotations
@@ -15,13 +19,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import digamma, hyp2f1
 
 __all__ = [
     "PressureEval",
     "RatePoint",
-    "QuadratureError",
     "pressure",
     "pressure_derivatives",
     "ode_residual",
@@ -33,12 +36,17 @@ __all__ = [
 
 LAMBDA_SWITCH = 1e-4
 _BRACKET_CAP = 50.0
-_QUAD_TOL = 1e-12
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge; message carries the
-    achieved error estimate."""
+# The general-alpha route sums the log-case series at and below
+# _SERIES_SWITCH, where hyp2f1 loses digits (1e-9 off at lambda = -20, inf
+# from -30), and the series in 1/c above log 3 (c > 2, ratio <= 1/2), where
+# hyp2f1's 1/z transformation loses digits for alpha near an integer.
+_SERIES_SWITCH = -3.0
+_LN3 = math.log(3.0)
+# the largest alpha at which the lower series and hyp2f1 still meet at
+# _SERIES_SWITCH with all their digits (6e-13 off in Lambda' at alpha = 50);
+# beyond it both cancel or overflow in some band of lambda
+_ALPHA_MAX = 50.0
+_TINY = 1e-17  # relative size of the last series term kept
 
 
 def mean_slope(alpha: float) -> float:
@@ -80,6 +88,11 @@ class PressureEval:
                 raise ValueError(f"{self.method} requires alpha = {a}")
         elif self.method != "quadrature":
             raise ValueError(f"unknown method {self.method!r}")
+        elif self.alpha > _ALPHA_MAX:
+            raise ValueError(
+                f"alpha = {self.alpha} has no closed form, and the general route "
+                f"is exact only up to alpha = {_ALPHA_MAX:g}"
+            )
 
     @property
     def scope(self) -> str:
@@ -142,7 +155,7 @@ def _cf_two_d(lam: float) -> tuple[float, float]:
     return d1, d2
 
 
-# method: (alpha, Lambda, (Lambda', Lambda'')); every other alpha takes quadrature
+# method: (alpha, Lambda, (Lambda', Lambda'')); every other alpha takes _general
 _CLOSED_FORMS = {
     "closed_form_half": (0.5, _cf_half, _cf_half_d),
     "closed_form_one": (1.0, _cf_one, _cf_one_d),
@@ -150,66 +163,134 @@ _CLOSED_FORMS = {
 }
 
 
-# ------------------------------------------------------------------ quadrature
+# ------------------------------------------------------------- general alpha
+#
+# With c = e^lambda - 1, Lambda = -log(alpha J0), Lambda' = e^lambda J1 / J0 and
+# Lambda'' = (e^lambda J1 - 2 e^(2 lambda) J2) / J0 + Lambda'^2, where
+# J_m = int_0^1 v^(alpha+m-1) (1+cv)^-(m+1) dv (m = 0, 1, 2) is a Gauss
+# hypergeometric value.  Each route below returns Lambda and
+# G_m = e^(m lambda) J_m up to one common factor, so that Lambda' = G1/G0.
 
 
-def _quad_piece(f, a: float, b: float, weight_pow: float):
-    """Integrate f(v) * v^weight_pow over [a, b]; QAWS handles the
-    algebraic endpoint weight when the interval starts at 0."""
-    if a == 0.0 and weight_pow != 0.0:
-        res = quad(f, a, b, weight="alg", wvar=(weight_pow, 0.0), epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200, full_output=1)
-    else:
-        res = quad(lambda v: f(v) * v**weight_pow, a, b, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=200, full_output=1)
-    # the result feeds logs and ratios, so judge the error relative to the
-    # value: epsabs=1e-12 is unattainable when the piece itself is ~1e6
-    if len(res) > 3 and res[1] > max(_QUAD_TOL, 1e-10 * abs(res[0])):
-        raise QuadratureError(f"quadrature did not converge: {res[3]} (error estimate {res[1]:.3e})")
-    return res[0], res[1]
+def _from_g(lam_val: float, g: list[float], order: int) -> tuple[float, ...]:
+    if order == 0:
+        return (lam_val,)
+    # Lambda' < 1 since Z_n <= n; where G1 and G0 agree to the last bits
+    # (alpha > 1, lambda >~ 70) their ratio can round a few ulps above it
+    d1 = min(g[1] / g[0], 1.0)
+    if order == 1:
+        return lam_val, d1
+    return lam_val, d1, d1 - 2.0 * g[2] / g[0] + d1 * d1
 
 
-def _J(p: float, m: int, c: float) -> float:
-    """int_0^1 v^p / (1 + c v)^m dv, robust to steep integrands at either
-    endpoint (large positive c, or c near -1)."""
-    f = lambda v: (1.0 + c * v) ** (-m)
-    if c < -0.95:
-        # 1 + c v shrinks to 1 + c ~ e^lambda at v = 1; integrate the
-        # boundary layer in t = -log(1 + c v), where it is a mild exponential
-        split = min(0.5, max(1e-3, 20.0 * (1.0 + c) / (-c)))
-        v0 = 1.0 - split
-        total, _ = _quad_piece(f, 0.0, v0, p)
-        q = -c
-        t0 = -math.log(1.0 + c * v0)
-        t1 = -math.log(1.0 + c)
-        g = lambda t: ((1.0 - math.exp(-t)) / q) ** p * math.exp((m - 1.0) * t) / q
-        val, _err = _quad_piece(g, t0, t1, 0.0)
-        return total + val
-    pieces: list[tuple[float, float]]
-    if c > 20.0:
-        split = 20.0 / c
-        pieces = [(0.0, split), (split, 1.0)]
-    else:
-        pieces = [(0.0, 1.0)]
-    total = 0.0
-    for a, b in pieces:
-        val, _err = _quad_piece(f, a, b, p)
-        total += val
-    return total
+def _log_series(alpha: float, lam: float) -> tuple[float, list[float]]:
+    """lambda <= _SERIES_SWITCH: the log-case connection series (Abramowitz
+    & Stegun 15.3.10) J0 = sum_n (alpha)_n/n! e^(n lambda) [psi(n+1) -
+    psi(alpha+n) - lambda], differentiated termwise in lambda."""
+    q = math.exp(lam)
+    w = 1.0  # (alpha)_n / n! q^n
+    d = -0.5772156649015329 - float(digamma(alpha))  # psi(n+1) - psi(alpha+n), Euler's gamma
+    g0 = g1 = g2 = 0.0
+    n = 0
+    while True:
+        t = d - lam
+        a0 = w * t
+        a1 = w * (1.0 - n * t)  # -d/dlambda of the J0 term
+        a2 = w * ((n * n - n) * t - 2.0 * n + 1.0) / 2.0  # (J0'' - J0') / 2
+        g0 += a0
+        g1 += a1
+        g2 += a2
+        if n > 0 and abs(a0) <= _TINY * abs(g0) and abs(a1) <= _TINY * abs(g1) and abs(a2) <= _TINY * abs(g2):
+            return -math.log(alpha * g0), [g0, g1, g2]
+        n += 1
+        d += 1.0 / n - 1.0 / (alpha + n - 1.0)
+        w *= (alpha + n - 1.0) * q / n
 
 
-def _quad_pressure(alpha: float, lam: float) -> float:
+def _hyp(alpha: float, lam: float, order: int) -> tuple[float, list[float]]:
+    """_SERIES_SWITCH < lambda <= log 3: the Pfaff form
+    e^((m+1) lambda) (alpha+m) J_m = 2F1(m+1, 1; alpha+m+1; w), with
+    w = 1 - e^-lambda in (-19.1, 2/3] computed directly, not rebuilt by
+    hyp2f1 from z = 1 - e^lambda."""
+    w = -math.expm1(-lam)
+    f = [float(hyp2f1(m + 1.0, 1.0, alpha + m + 1.0, w)) for m in range(order + 1)]
+    return lam - math.log(f[0]), [fm / (alpha + m) for m, fm in enumerate(f)]
+
+
+def _x_minus_sin(x: float) -> float:
+    # x - sin(x) from its Taylor series: no cancellation for |x| <= pi/2
+    t = s = x * x * x / 6.0
+    j = 1
+    while abs(t) > _TINY * abs(s):
+        t *= -x * x / ((2 * j + 2) * (2 * j + 3))
+        s += t
+        j += 1
+    return s
+
+
+def _inverse_series(alpha: float, lam: float) -> tuple[float, list[float]]:
+    """c > 2: the connection series in 1/c,
+    c^(m+1) J_m = c^(1-alpha) Gamma(alpha+m) Gamma(1-alpha) / m!
+                  - sum_j (-1)^j (m+1)_j / j! c^-j / (j+1-alpha),
+    with the pole of Gamma(1-alpha) at integer alpha = k paired with the
+    j = k-1 term and their sum taken in eps = alpha - k without cancellation,
+    so it is exact at and near every integer alpha."""
     c = math.expm1(lam)
-    return -math.log(alpha * _J(alpha - 1.0, 1, c))
+    r = -math.expm1(-lam)  # c / (1 + c)
+    log_c = math.log(c)
+    k = round(alpha)
+    eps = alpha - k
+    poch = (1.0, alpha, alpha * (alpha + 1.0) / 2.0)  # (alpha)_m / m!
+    if k == 0:
+        # everything divided by c^(1-alpha) Gamma(alpha) Gamma(1-alpha), which
+        # overflows at lambda ~ 709 for small alpha; log_c_scaled = log(c / that)
+        log_pi_sin = math.log(math.pi / math.sin(math.pi * alpha))
+        unit = math.exp(-(1.0 - alpha) * log_c - log_pi_sin)
+        log_c_scaled = alpha * log_c - log_pi_sin
+        pair = list(poch)
+    else:
+        unit, log_c_scaled = 1.0, log_c
+        if eps == 0.0:
+            e1, gm1 = -log_c, 0.0
+        else:
+            e1 = math.expm1(-eps * log_c) / eps
+            x = math.pi * eps
+            gm1 = _x_minus_sin(x) / (eps * math.sin(x))  # (pi eps / sin(pi eps) - 1) / eps
+        g = 1.0 + eps * gm1
+        dpoch = (0.0, 1.0, (alpha + k + 1.0) / 2.0)  # ((alpha)_m - (k)_m) / (m! eps)
+        scale = math.copysign(math.exp((1.0 - k) * log_c), -1.0 if k % 2 else 1.0)  # (-1)^k c^(1-k)
+        pair = [scale * (p * (e1 * g + gm1) + dp) for p, dp in zip(poch, dpoch)]
+    s0 = s1 = s2 = 0.0
+    b0 = b1 = b2 = 1.0  # (-1/c)^j (m+1)_j / j!
+    u = -1.0 / c
+    j = 0
+    while True:
+        if j != k - 1:
+            den = j + 1.0 - alpha
+            s0 += b0 / den
+            s1 += b1 / den
+            s2 += b2 / den
+        # |den| >= 1/2 off the pole and the terms fall by at least 1/c from j = 2
+        if j >= 2 and abs(b2) <= _TINY * min(abs(s0), abs(s1), abs(s2)):  # |b0| <= |b1| <= |b2|
+            break
+        j += 1
+        b0 *= u
+        b1 *= u * (j + 1) / j
+        b2 *= u * (j + 2) / j
+    jh = [pair[0] - s0 * unit, pair[1] - s1 * unit, pair[2] - s2 * unit]
+    return log_c_scaled - math.log(alpha * jh[0]), [jh[0], jh[1] / r, jh[2] / (r * r)]
 
 
-def _quad_derivs(alpha: float, lam: float) -> tuple[float, float]:
-    c = math.expm1(lam)
-    el = c + 1.0
-    j0 = _J(alpha - 1.0, 1, c)
-    j1 = _J(alpha, 2, c)
-    j2 = _J(alpha + 1.0, 3, c)
-    d1 = el * j1 / j0
-    d2 = (el * j1 - 2.0 * el * el * j2) / j0 + d1 * d1
-    return d1, d2
+def _general(alpha: float, lam: float, order: int) -> tuple[float, ...]:
+    """(Lambda, Lambda', Lambda'')[: order + 1] for alpha without a closed
+    form; Lambda' is the same double for order 1 and order 2."""
+    if lam <= _SERIES_SWITCH:
+        lam_val, g = _log_series(alpha, lam)
+    elif lam > _LN3:
+        lam_val, g = _inverse_series(alpha, lam)
+    else:
+        lam_val, g = _hyp(alpha, lam, order)
+    return _from_g(lam_val, g, order)
 
 
 # ------------------------------------------------------------------ public API
@@ -231,12 +312,12 @@ def pressure(ev: PressureEval, lam: float) -> float:
         )
     if ev.method in _CLOSED_FORMS:
         return _CLOSED_FORMS[ev.method][1](lam)
-    return _quad_pressure(ev.alpha, lam)
+    return _general(ev.alpha, lam, 0)[0]
 
 
 def pressure_derivatives(ev: PressureEval, lam: float) -> tuple[float, float]:
-    """(Lambda', Lambda''): analytic for the closed forms, by
-    differentiation under the integral for quadrature; exact constants
+    """(Lambda', Lambda''): analytic for the closed forms, from the
+    hypergeometric integrals J1, J2 otherwise; exact constants
     (alpha/(alpha+1), sigma^2) at lambda = 0."""
     if not math.isfinite(lam):
         raise ValueError("lambda must be finite")
@@ -251,7 +332,7 @@ def pressure_derivatives(ev: PressureEval, lam: float) -> tuple[float, float]:
         )
     if ev.method in _CLOSED_FORMS:
         return _CLOSED_FORMS[ev.method][2](lam)
-    return _quad_derivs(a, lam)
+    return _general(a, lam, 2)[1:]
 
 
 def ode_residual(ev: PressureEval, lam: float) -> float:
@@ -265,11 +346,10 @@ def ode_residual(ev: PressureEval, lam: float) -> float:
 
 
 def _slope(ev: PressureEval, lam: float) -> float:
-    """Lambda' without Lambda'': quadrature skips the third integral and
-    keeps the expression order of _quad_derivs, so the double is the same."""
+    """Lambda' without Lambda'': the general route skips J2, and its
+    Lambda' is the same double as pressure_derivatives'."""
     if ev.method == "quadrature" and abs(lam) >= LAMBDA_SWITCH:
-        c = math.expm1(lam)
-        return (c + 1.0) * _J(ev.alpha, 2, c) / _J(ev.alpha - 1.0, 1, c)
+        return _general(ev.alpha, lam, 1)[1]
     return pressure_derivatives(ev, lam)[0]
 
 

@@ -1,7 +1,7 @@
 """The benchmark's correctness gates: every workload in
 benchmark/workloads.py runs one untraced pass in-process at toy size, and
-grow_large one more at full size, and every answer must pass its law-based
-check.  No run record is written."""
+grow_large and analytic one more each at full size, and every answer must
+pass its check.  No run record is written."""
 
 import sys
 from pathlib import Path
@@ -27,4 +27,13 @@ def test_full_size_grow_large_passes_its_gates():
     # fails the law gate here as it would in a benchmark run
     p = run.Pass(workloads.WORKLOADS["grow_large"](1, False), run.UNTRACED, "grow_large", "full", 0)
     assert len(p.calls) == len(workloads.LAYERS["grow_large"])
+    assert p.failures == []
+
+
+def test_full_size_analytic_passes_its_gates():
+    # every rate point passes the Legendre gate (|Lambda'(lambda*) - x| <= 1e-9)
+    # and every pressure derivative the ODE-residual gate (1e-6), at the
+    # benchmark's own grids
+    p = run.Pass(workloads.WORKLOADS["analytic"](1, False), run.UNTRACED, "analytic", "full", 0)
+    assert {c[0] for c in p.calls} == set(workloads.LAYERS["analytic"])
     assert p.failures == []

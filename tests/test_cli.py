@@ -134,6 +134,21 @@ def test_rate_grid_through_alpha_below_one(capsys):
     assert [r[1:] for r in rows[2:]] == [["inf", "inf"]] * 5
 
 
+def test_rate_grid_up_to_alpha_three_quarters(capsys):
+    # lambda* runs up to 12.6 at x = 0.74: the upper tail of the general route
+    rc, out, _ = run_cli(
+        capsys, "rate", "--alpha", "0.75", "--x-grid", "0.70:0.75:0.01", "--no-header-timestamp"
+    )
+    assert rc == 0
+    _, _, rows = csv_body(out)
+    assert len(rows) == 6
+    rates = [float(r[2]) for r in rows]
+    assert all(math.isfinite(float(r[1])) for r in rows[:5])
+    assert rates == sorted(rates)
+    assert rows[5][1] == "inf"
+    assert rates[5] == pytest.approx(math.log(3 * math.pi / (2 * math.sqrt(2))), rel=1e-15)
+
+
 # --------------------------------------------------------------------- path
 
 

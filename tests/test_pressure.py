@@ -1,5 +1,5 @@
-"""Pressure module: closed forms, quadrature, derivatives, ODE residual,
-and the Legendre-transform rate function."""
+"""Pressure module: closed forms, the general-alpha hypergeometric route,
+derivatives, ODE residual, and the Legendre-transform rate function."""
 
 import math
 
@@ -167,6 +167,231 @@ def test_quadrature_methods_agree_on_general_alpha():
     ev = PressureEval(1.5)
     for lam in (-3.0, -0.4, 0.9, 3.0):
         assert abs(ode_residual(ev, lam)) <= 1e-8
+
+
+# (lambda, Lambda, Lambda') by mpmath's hyp2f1 at 60 significant digits
+# (more where 1 - e^lambda needs them), for the general route on the same
+# grid: alpha = 1/2, 1 and 2 included, whose closed forms it must reproduce
+_MPMATH = {
+    0.5: [
+        (-700.0, -5.8599116165519084, 0.0014257478482822108),
+        (-200.0, -4.6120777455773062, 0.0049655812138180062),
+        (-40.0, -3.0298025913815948, 0.024162588495466847),
+        (-36.0, -2.9281569957647013, 0.026747769927151486),
+        (-30.0, -2.7532241317522108, 0.031861040634262977),
+        (-20.0, -2.3696030868593152, 0.046758917751386524),
+        (-3.0, -0.80507108938522979, 0.20904213302642432),
+        (-1.0, -0.31095304472307928, 0.28860700319948767),
+        (1.0, 0.35501553267626961, 0.37597994700376144),
+        (3.0, 1.1774976478294374, 0.44115332457893431),
+        (17.56, 8.3285151858490134, 0.49995105794597902),
+        (18.0, 8.548495855303541, 0.49996072196751639),
+        (40.0, 19.548417296022716, 0.49999999934391443),
+        (200.0, 99.548417294710545, 0.5),
+        (700.0, 349.54841729471055, 0.5),
+    ],
+    0.75: [
+        (-700.0, -6.2641246347407525, 0.0014275341308503686),
+        (-200.0, -5.0131752916440046, 0.0049873161275829323),
+        (-40.0, -3.4138333409768455, 0.024686088480504131),
+        (-36.0, -3.3098670152932272, 0.027390772626979971),
+        (-30.0, -3.1303280206657454, 0.032777594447556475),
+        (-20.0, -2.7331644441146279, 0.048759923357152036),
+        (-3.0, -1.0022392204736657, 0.25041981697284288),
+        (-1.0, -0.39534434412286222, 0.36255187714943656),
+        (1.0, 0.46158810927372356, 0.4939629853588934),
+        (3.0, 1.5638243454886048, 0.60157391111174248),
+        (17.56, 11.977605949159266, 0.74717735921324413),
+        (18.0, 12.30643054787306, 0.74747434800040818),
+        (40.0, 28.796419471455303, 0.74998978100792649),
+        (200.0, 148.79637859632241, 0.75),
+        (700.0, 523.79637859632241, 0.75),
+    ],
+    0.99: [
+        (-700.0, -6.5410536712513664, 0.0014285376117410255),
+        (-200.0, -5.2883498804581691, 0.0049995857683415651),
+        (-40.0, -3.6792432984548267, 0.024989647639159604),
+        (-36.0, -3.5739287922311743, 0.027764997673400901),
+        (-30.0, -3.3916992479555424, 0.033314931676199056),
+        (-20.0, -2.9865101286545709, 0.049958605657499792),
+        (-3.0, -1.1444616079562945, 0.27985531839994865),
+        (-1.0, -0.45643943252792102, 0.41605889198877883),
+        (1.0, 0.5385350966435592, 0.57891495130926309),
+        (3.0, 1.8404541400112498, 0.71511098549118319),
+        (17.56, 14.61432124817858, 0.93795931767583345),
+        (18.0, 15.027330745524526, 0.93934512847497595),
+        (40.0, 36.11401419969146, 0.96967769314043357),
+        (200.0, 193.55010336439725, 0.98843512130856788),
+        (700.0, 688.40562779890155, 0.98999087436011847),
+    ],
+    1.0: [
+        (-700.0, -6.5510803350434047, 0.0014285714285714286),
+        (-200.0, -5.2983173665480367, 0.005),
+        (-40.0, -3.6888794541139363, 0.024999999999999996),
+        (-36.0, -3.5835189384561102, 0.027777777777777546),
+        (-30.0, -3.401197381662249, 0.033333333333239757),
+        (-20.0, -2.9957322756151446, 0.049999997938846373),
+        (-3.0, -1.1496814696108113, 0.28093763684207738),
+        (-1.0, -0.45867514538708189, 0.41802329313067358),
+        (1.0, 0.54132485461291811, 0.58197670686932642),
+        (3.0, 1.8503185303891887, 0.71906236315792262),
+        (17.56, 14.694376388145328, 0.94305241544724446),
+        (18.0, 15.109628226873855, 0.94444445967442442),
+        (40.0, 36.311120545886064, 0.975),
+        (200.0, 194.70168263345196, 0.995),
+        (700.0, 693.4489196649566, 0.99857142857142857),
+    ],
+    1.01: [
+        (-700.0, -6.5610073367572607, 0.0014286047563020551),
+        (-200.0, -5.3081860430324132, 0.0050004082885130012),
+        (-40.0, -3.6984214464324501, 0.025010210547904562),
+        (-36.0, -3.5930155495320018, 0.027790383964545979),
+        (-30.0, -3.4106032240740582, 0.033351487889975413),
+        (-20.0, -3.0048657626121715, 0.05004085679643184),
+        (-3.0, -1.1548531743045543, 0.28201036721117375),
+        (-1.0, -0.46088945211418933, 0.41996955053391561),
+        (1.0, 0.54408532762901282, 0.58500454444166944),
+        (3.0, 1.8600633366349367, 0.72295619815910432),
+        (17.56, 14.771798956234364, 0.94785289690284487),
+        (18.0, 15.189162775958397, 0.94924385995317095),
+        (40.0, 36.494846964578992, 0.97965740276985425),
+        (200.0, 195.53031869044423, 0.99843452577212303),
+        (700.0, 695.38579193129436, 0.99999087135456943),
+    ],
+    1.5: [
+        (-700.0, -6.9556683362645036, 0.0014298249880825685),
+        (-200.0, -5.7007092288759921, 0.0050153898652072994),
+        (-40.0, -4.0788830050403013, 0.025389542637124754),
+        (-36.0, -3.9717896883400815, 0.028259528669346094),
+        (-30.0, -3.7859934955649053, 0.034029469238520129),
+        (-20.0, -3.370031451419473, 0.051582830650947549),
+        (-3.0, -1.3622537492876, 0.32565739324070375),
+        (-1.0, -0.5486761801388609, 0.49793029906570678),
+        (1.0, 0.65056807218861305, 0.69981464468737685),
+        (3.0, 2.2185581178932846, 0.85599942146505525),
+        (17.56, 16.461629247263883, 0.99987924109277066),
+        (18.0, 16.901581551329067, 0.9999030858358223),
+        (40.0, 38.901387714569543, 0.99999999838117373),
+        (200.0, 198.90138771133189, 1.0),
+        (700.0, 698.90138771133189, 1.0),
+    ],
+    2.0: [
+        (-700.0, -7.2427979227937556, 0.0014306151645207439),
+        (-200.0, -5.9864520052844377, 0.0050251256281407035),
+        (-40.0, -4.3567088266895917, 0.025641025641025632),
+        (-36.0, -4.2484952420493595, 0.028571428571428101),
+        (-30.0, -4.0604430105466097, 0.034482758620499165),
+        (-20.0, -3.6375861639571748, 0.052631574710869831),
+        (-3.0, -1.5130214611120511, 0.35877526049859329),
+        (-1.0, -0.61049747133410909, 0.55432841472039239),
+        (1.0, 0.72039579686994544, 0.77174222256132003),
+        (3.0, 2.4267939170547392, 0.91828844848487243),
+        (17.56, 16.866853211046053, 0.99999963204161484),
+        (18.0, 17.306853078349752, 0.99999975632024522),
+        (40.0, 39.306852819440055, 0.99999999999999984),
+        (200.0, 199.30685281944005, 1.0),
+        (700.0, 699.30685281944005, 1.0),
+    ],
+    2.5: [
+        (-700.0, -7.4655402887718622, 0.001431189221490276),
+        (-200.0, -6.2081856570992633, 0.0050322155471103098),
+        (-40.0, -4.5726373789070998, 0.02582669461316268),
+        (-36.0, -4.4635958985227877, 0.028802152165927131),
+        (-30.0, -4.2738715126853383, 0.034819392877654589),
+        (-20.0, -3.8458633199270588, 0.053419860512468764),
+        (-3.0, -1.6283227723630832, 0.38536467753133663),
+        (-1.0, -0.65610425785072158, 0.59715404725684325),
+        (1.0, 0.76811944054115978, 0.81851143042415317),
+        (3.0, 2.5532532567674578, 0.94792990706804032),
+        (17.56, 17.049174423512276, 0.99999995273029473),
+        (18.0, 17.489174406685114, 0.99999996955332148),
+        (40.0, 39.489174376234009, 0.99999999999999999),
+        (200.0, 199.48917437623401, 1.0),
+        (700.0, 699.48917437623401, 1.0),
+    ],
+    3.0: [
+        (-700.0, -7.6475474673651262, 0.0014316392269148175),
+        (-200.0, -6.3894013887953548, 0.0050377833753148615),
+        (-40.0, -4.7492705299618482, 0.025974025974025961),
+        (-36.0, -4.6395716127054245, 0.028985507246376102),
+        (-30.0, -4.4485163759430018, 0.035087719297958088),
+        (-20.0, -4.0163830271586771, 0.05405404763572103),
+        (-3.0, -1.7207821441646058, 0.40771623220286455),
+        (-1.0, -0.69138937737635264, 0.63120981346177976),
+        (1.0, 0.80248114514514757, 0.85063837465888834),
+        (3.0, 2.6359314328716899, 0.96343600521154823),
+        (17.56, 17.154534915539516, 0.99999997635233476),
+        (18.0, 17.594534907121808, 0.99999998477003487),
+        (40.0, 39.594534891891836, 1.0),
+        (200.0, 199.59453489189184, 1.0),
+        (700.0, 699.59453489189184, 1.0),
+    ],
+    20.0: [
+        (-700.0, -9.5417315222034142, 0.0014358485957209906),
+        (-200.0, -8.2761517254370687, 0.0050902952109319594),
+        (-40.0, -6.5917357422356776, 0.027433141061606909),
+        (-36.0, -6.4755023704525248, 0.030814494566322985),
+        (-30.0, -6.2710738854058161, 0.037803952743067123),
+        (-20.0, -5.7961951917898895, 0.060781877955099968),
+        (-3.0, -2.5067837297325058, 0.6681233484462727),
+        (-1.0, -0.92604159685576598, 0.89347408997823869),
+        (1.0, 0.96851041719490328, 0.98079231542406616),
+        (3.0, 2.9514603900362389, 0.99725846896533),
+        (17.56, 17.508706706926209, 0.99999999868623892),
+        (18.0, 17.948706706458559, 0.99999999915389002),
+        (40.0, 39.948706705612449, 1.0),
+        (200.0, 199.94870670561245, 1.0),
+        (700.0, 699.94870670561245, 1.0),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "alpha,lam,val,slope", [(a, *cell) for a, cells in _MPMATH.items() for cell in cells]
+)
+def test_general_route_matches_mpmath(alpha, lam, val, slope):
+    ev = PressureEval(alpha, method="quadrature")
+    assert pressure(ev, lam) == pytest.approx(val, rel=1e-12, abs=1e-12)
+    if abs(lam) <= 200.0:
+        assert pressure_derivatives(ev, lam)[0] == pytest.approx(slope, rel=1e-11)
+
+
+def test_general_route_at_half_in_the_upper_tail():
+    ev = PressureEval(0.5, method="quadrature")
+    assert pressure(ev, 17.56) == pytest.approx(pressure(PressureEval(0.5), 17.56), abs=1e-13)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_general_route_next_to_an_integer(k):
+    # 1/c series at c > 2: hyp2f1 there is 2e-5 off at alpha = 1 + 1e-12
+    exact = PressureEval(float(k), method="quadrature")
+    for alpha in (k - 1e-12, k + 1e-12, k + 1e-9):
+        ev = PressureEval(alpha, method="quadrature")
+        for lam in (1.5, 3.0, 17.56, 40.0, 700.0):
+            assert pressure(ev, lam) == pytest.approx(pressure(exact, lam), rel=1e-9, abs=1e-9)
+            assert pressure_derivatives(ev, lam)[0] == pytest.approx(
+                pressure_derivatives(exact, lam)[0], rel=1e-9
+            )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.sampled_from(sorted(_MPMATH) + [0.01, 1.25, 1 + 1e-12, 7.0, 50.0]),
+    lam=st.floats(min_value=-1e4, max_value=700.0),
+)
+def test_general_slope_is_a_float_in_the_unit_interval(alpha, lam):
+    ev = PressureEval(alpha, method="quadrature")
+    val = pressure(ev, lam)
+    d1, _ = pressure_derivatives(ev, lam)
+    assert type(val) is float and math.isfinite(val)
+    assert type(d1) is float and 0.0 < d1 <= 1.0
+
+
+def test_general_route_is_limited_to_alpha_fifty():
+    assert PressureEval(50.0).method == "quadrature"
+    for alpha in (50.5, 51.0, 1e3):
+        with pytest.raises(ValueError, match="exact only up to alpha = 50"):
+            PressureEval(alpha)
 
 
 def _rate_reference(ev, x):
