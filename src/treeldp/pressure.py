@@ -8,9 +8,11 @@ and the derivatives come from two more integrals of the same kind.  These
 are Gauss hypergeometric values, J0 = 2F1(1, alpha; alpha+1; -c)/alpha,
 evaluated by scipy.special.hyp2f1 for -3 < lambda <= log 3 and by two
 connection series outside that band: the log case in e^lambda below it,
-and a series in 1/c above it.  Both are exact in their tails, and the
-route is limited to alpha <= 50.  It never uses the pressure ODE, so
-ode_residual stays a genuine check.
+and a series in 1/c above it.  Both are exact in their tails.  For
+alpha > 20 the lower series stops at lambda = -log(alpha) and a Laplace
+series, in 1/alpha around the pole of the integrand, covers the band up to
+lambda = -log 2.  The route never uses the pressure ODE, so ode_residual
+stays a genuine check.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from scipy.optimize import brentq
-from scipy.special import digamma, hyp2f1
+from scipy.special import digamma, expn, hyp2f1, zeta
 
 __all__ = [
     "PressureEval",
@@ -41,11 +43,16 @@ _BRACKET_CAP = 50.0
 # from -30), and the series in 1/c above log 3 (c > 2, ratio <= 1/2), where
 # hyp2f1's 1/z transformation loses digits for alpha near an integer.
 _SERIES_SWITCH = -3.0
+_LN2 = math.log(2.0)
 _LN3 = math.log(3.0)
-# the largest alpha at which the lower series and hyp2f1 still meet at
-# _SERIES_SWITCH with all their digits (6e-13 off in Lambda' at alpha = 50);
-# beyond it both cancel or overflow in some band of lambda
-_ALPHA_MAX = 50.0
+# Above _ALPHA_LARGE the lower series stops at lambda = -log(alpha), since
+# its terms cancel once alpha e^lambda > 1, and the Laplace series takes
+# the band up to -log 2, where w < -1 and hyp2f1's transformation loses
+# digits as alpha grows.  Between lambda = -5 and -0.7 the lower series
+# and hyp2f1 are 2e-12 off in Lambda' at alpha = 50, 1e-10 at alpha = 100
+# and nan at alpha = 1000; the Laplace series, whose error is of order
+# e^(-2 pi alpha), is within 1e-14 from alpha = 10 on.
+_ALPHA_LARGE = 20.0
 _TINY = 1e-17  # relative size of the last series term kept
 
 
@@ -88,11 +95,6 @@ class PressureEval:
                 raise ValueError(f"{self.method} requires alpha = {a}")
         elif self.method != "quadrature":
             raise ValueError(f"unknown method {self.method!r}")
-        elif self.alpha > _ALPHA_MAX:
-            raise ValueError(
-                f"alpha = {self.alpha} has no closed form, and the general route "
-                f"is exact only up to alpha = {_ALPHA_MAX:g}"
-            )
 
     @property
     def scope(self) -> str:
@@ -172,21 +174,18 @@ _CLOSED_FORMS = {
 # G_m = e^(m lambda) J_m up to one common factor, so that Lambda' = G1/G0.
 
 
-def _from_g(lam_val: float, g: list[float], order: int) -> tuple[float, ...]:
-    if order == 0:
-        return (lam_val,)
+def _from_g(lam_val: float, g: list[float]) -> tuple[float, float, float]:
     # Lambda' < 1 since Z_n <= n; where G1 and G0 agree to the last bits
     # (alpha > 1, lambda >~ 70) their ratio can round a few ulps above it
     d1 = min(g[1] / g[0], 1.0)
-    if order == 1:
-        return lam_val, d1
     return lam_val, d1, d1 - 2.0 * g[2] / g[0] + d1 * d1
 
 
 def _log_series(alpha: float, lam: float) -> tuple[float, list[float]]:
-    """lambda <= _SERIES_SWITCH: the log-case connection series (Abramowitz
-    & Stegun 15.3.10) J0 = sum_n (alpha)_n/n! e^(n lambda) [psi(n+1) -
-    psi(alpha+n) - lambda], differentiated termwise in lambda."""
+    """lambda <= _SERIES_SWITCH, or <= -log(alpha) above _ALPHA_LARGE: the
+    log-case connection series (Abramowitz & Stegun 15.3.10)
+    J0 = sum_n (alpha)_n/n! e^(n lambda) [psi(n+1) - psi(alpha+n) - lambda],
+    differentiated termwise in lambda."""
     q = math.exp(lam)
     w = 1.0  # (alpha)_n / n! q^n
     d = -0.5772156649015329 - float(digamma(alpha))  # psi(n+1) - psi(alpha+n), Euler's gamma
@@ -207,13 +206,14 @@ def _log_series(alpha: float, lam: float) -> tuple[float, list[float]]:
         w *= (alpha + n - 1.0) * q / n
 
 
-def _hyp(alpha: float, lam: float, order: int) -> tuple[float, list[float]]:
-    """_SERIES_SWITCH < lambda <= log 3: the Pfaff form
+def _hyp(alpha: float, lam: float) -> tuple[float, list[float]]:
+    """_SERIES_SWITCH < lambda <= log 3 (-log 2 < lambda above
+    _ALPHA_LARGE): the Pfaff form
     e^((m+1) lambda) (alpha+m) J_m = 2F1(m+1, 1; alpha+m+1; w), with
     w = 1 - e^-lambda in (-19.1, 2/3] computed directly, not rebuilt by
     hyp2f1 from z = 1 - e^lambda."""
     w = -math.expm1(-lam)
-    f = [float(hyp2f1(m + 1.0, 1.0, alpha + m + 1.0, w)) for m in range(order + 1)]
+    f = [float(hyp2f1(m + 1.0, 1.0, alpha + m + 1.0, w)) for m in range(3)]
     return lam - math.log(f[0]), [fm / (alpha + m) for m, fm in enumerate(f)]
 
 
@@ -259,7 +259,9 @@ def _inverse_series(alpha: float, lam: float) -> tuple[float, list[float]]:
         g = 1.0 + eps * gm1
         dpoch = (0.0, 1.0, (alpha + k + 1.0) / 2.0)  # ((alpha)_m - (k)_m) / (m! eps)
         scale = math.copysign(math.exp((1.0 - k) * log_c), -1.0 if k % 2 else 1.0)  # (-1)^k c^(1-k)
-        pair = [scale * (p * (e1 * g + gm1) + dp) for p, dp in zip(poch, dpoch)]
+        # scale underflows to 0 from k ~ 1000, far below every series term,
+        # and long before (alpha)_2 overflows near alpha = 1e154
+        pair = [scale * (p * (e1 * g + gm1) + dp) if scale else 0.0 for p, dp in zip(poch, dpoch)]
     s0 = s1 = s2 = 0.0
     b0 = b1 = b2 = 1.0  # (-1/c)^j (m+1)_j / j!
     u = -1.0 / c
@@ -281,16 +283,77 @@ def _inverse_series(alpha: float, lam: float) -> tuple[float, list[float]]:
     return log_c_scaled - math.log(alpha * jh[0]), [jh[0], jh[1] / r, jh[2] / (r * r)]
 
 
-def _general(alpha: float, lam: float, order: int) -> tuple[float, ...]:
-    """(Lambda, Lambda', Lambda'')[: order + 1] for alpha without a closed
-    form; Lambda' is the same double for order 1 and order 2."""
-    if lam <= _SERIES_SWITCH:
+# Power series of (x/(1 - e^-x))^(m+1), m = 0, 1, 2, to _NB terms:
+# x/(1 - e^-x) = 1 + x/2 + sum_k (-1)^(k+1) 2 zeta(2k) (x/(2 pi))^2k.  In the
+# Laplace band x = t + kappa with kappa <= log 2 and t ~ 1/alpha, so the
+# terms fall at least like (log 2 + 1/2)/(2 pi) < 1/5 until n ~ alpha/2.
+_NB = 40
+_POLE = [[1.0, 0.5] + [
+    0.0 if n % 2 else math.copysign(2.0 * float(zeta(n)) / (2.0 * math.pi) ** n, n % 4 - 1)
+    for n in range(2, _NB)
+]]
+for _ in range(2):
+    _POLE.append([sum(_POLE[-1][i] * _POLE[0][n - i] for i in range(n + 1)) for n in range(_NB)])
+
+
+def _exp_expn(p: int, y: float) -> float:
+    """e^y E_p(y); above y = 60 from its asymptotic series, whose smallest
+    term is below 1e-21 of the sum for p <= 3."""
+    if y <= 60.0:
+        return math.exp(y) * float(expn(p, y))
+    t = s = 1.0 / y
+    k = p
+    while abs(t) > _TINY * s:
+        t *= -k / y
+        s += t
+        k += 1
+    return s
+
+
+def _laplace_series(alpha: float, lam: float) -> tuple[float, list[float]]:
+    """alpha > _ALPHA_LARGE, -log(alpha) < lambda <= -log 2: with
+    v = e^-t and e^-kappa = 1 - e^lambda,
+    J_m = int_0^inf e^(-(alpha+m) t) (1 - e^-(t+kappa))^-(m+1) dt.
+    The pole of the integrand at t = -kappa integrates to exponential
+    integrals, kappa^(1-p) e^y E_p(y) with y = (alpha+m) kappa; the rest is
+    a power series in t + kappa, integrated term by term as
+    L_N = int_0^inf e^(-(alpha+m) t) (t+kappa)^N dt."""
+    q = math.exp(lam)
+    kappa = -math.log1p(-q)
+    ratio = q / kappa  # in (1/(2 log 2), 1]: keeps kappa^(1-p) q^m finite
+    g = []
+    for m, coef in enumerate(_POLE):
+        beta = alpha + m
+        y = beta * kappa
+        pole = sum(
+            coef[m + 1 - p] * q ** (m + 1 - p) * ratio ** (p - 1) * _exp_expn(p, y)
+            for p in range(1, m + 2)
+        )
+        lap = 1.0 / beta  # L_0
+        rest = coef[m + 1] * lap
+        for n in range(m + 2, _NB):
+            big_n = n - m - 1
+            lap = (kappa**big_n + big_n * lap) / beta
+            term = coef[n] * lap
+            rest += term
+            if abs(term) + abs(coef[n - 1] * lap) <= _TINY * rest:
+                break
+        g.append(pole + rest * q**m)
+    return -math.log(alpha * g[0]), g
+
+
+def _general(alpha: float, lam: float) -> tuple[float, float, float]:
+    """(Lambda, Lambda', Lambda'') for alpha without a closed form."""
+    large = alpha > _ALPHA_LARGE
+    if lam <= (-math.log(alpha) if large else _SERIES_SWITCH):
         lam_val, g = _log_series(alpha, lam)
+    elif large and lam <= -_LN2:
+        lam_val, g = _laplace_series(alpha, lam)
     elif lam > _LN3:
         lam_val, g = _inverse_series(alpha, lam)
     else:
-        lam_val, g = _hyp(alpha, lam, order)
-    return _from_g(lam_val, g, order)
+        lam_val, g = _hyp(alpha, lam)
+    return _from_g(lam_val, g)
 
 
 # ------------------------------------------------------------------ public API
@@ -312,7 +375,7 @@ def pressure(ev: PressureEval, lam: float) -> float:
         )
     if ev.method in _CLOSED_FORMS:
         return _CLOSED_FORMS[ev.method][1](lam)
-    return _general(ev.alpha, lam, 0)[0]
+    return _general(ev.alpha, lam)[0]
 
 
 def pressure_derivatives(ev: PressureEval, lam: float) -> tuple[float, float]:
@@ -332,7 +395,7 @@ def pressure_derivatives(ev: PressureEval, lam: float) -> tuple[float, float]:
         )
     if ev.method in _CLOSED_FORMS:
         return _CLOSED_FORMS[ev.method][2](lam)
-    return _general(a, lam, 2)[1:]
+    return _general(a, lam)[1:]
 
 
 def ode_residual(ev: PressureEval, lam: float) -> float:
@@ -343,14 +406,6 @@ def ode_residual(ev: PressureEval, lam: float) -> float:
     L = pressure(ev, lam)
     d1, _ = pressure_derivatives(ev, lam)
     return math.exp(L) - (1.0 - math.exp(lam)) / ev.alpha * d1 - math.exp(lam)
-
-
-def _slope(ev: PressureEval, lam: float) -> float:
-    """Lambda' without Lambda'': the general route skips J2, and its
-    Lambda' is the same double as pressure_derivatives'."""
-    if ev.method == "quadrature" and abs(lam) >= LAMBDA_SWITCH:
-        return _general(ev.alpha, lam, 1)[1]
-    return pressure_derivatives(ev, lam)[0]
 
 
 @dataclass(frozen=True)
@@ -380,7 +435,7 @@ def rate(ev: PressureEval, x: float) -> RatePoint:
     # memoized, so brentq reuses the bracket ends the doubling evaluated
     @lru_cache(maxsize=None)
     def f(lam: float) -> float:
-        return _slope(ev, lam) - x
+        return pressure_derivatives(ev, lam)[0] - x
 
     lo, hi = -1.0, 1.0
     while f(lo) > 0.0:

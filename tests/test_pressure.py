@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeldp import chain
 from treeldp import (
     PressureEval,
     RatePoint,
@@ -171,7 +172,10 @@ def test_quadrature_methods_agree_on_general_alpha():
 
 # (lambda, Lambda, Lambda') by mpmath's hyp2f1 at 60 significant digits
 # (more where 1 - e^lambda needs them), for the general route on the same
-# grid: alpha = 1/2, 1 and 2 included, whose closed forms it must reproduce
+# grid: alpha = 1/2, 1 and 2 included, whose closed forms it must reproduce.
+# From alpha = 20 on, cells at -2.9, -2.5 and -2 cover the band where hyp2f1
+# loses digits as alpha grows, and from 50 on, -7 and -4.6 sit on either
+# side of the lower series' switch at lambda = -log(alpha).
 _MPMATH = {
     0.5: [
         (-700.0, -5.8599116165519084, 0.0014257478482822108),
@@ -334,6 +338,9 @@ _MPMATH = {
         (-30.0, -6.2710738854058161, 0.037803952743067123),
         (-20.0, -5.7961951917898895, 0.060781877955099968),
         (-3.0, -2.5067837297325058, 0.6681233484462727),
+        (-2.9, -2.4393040206488013, 0.68146255773708075),
+        (-2.5, -2.156167067402543, 0.73390246384312963),
+        (-2.0, -1.7736136328585155, 0.79529775719391793),
         (-1.0, -0.92604159685576598, 0.89347408997823869),
         (1.0, 0.96851041719490328, 0.98079231542406616),
         (3.0, 2.9514603900362389, 0.99725846896533),
@@ -342,6 +349,72 @@ _MPMATH = {
         (40.0, 39.948706705612449, 1.0),
         (200.0, 199.94870670561245, 1.0),
         (700.0, 699.94870670561245, 1.0),
+    ],
+    50.0: [
+        (-700.0, -10.45668391521121, 0.0014377715341874723),
+        (-200.0, -9.1876897457529054, 0.0051145454974771418),
+        (-40.0, -7.4821412955335775, 0.028152523318377847),
+        (-36.0, -7.3626704814474522, 0.031725088492633315),
+        (-30.0, -7.1515166022049872, 0.039183732839546646),
+        (-20.0, -6.6542038308645033, 0.064429580750059265),
+        (-7.0, -4.8995934823750842, 0.32718479831775782),
+        (-4.6, -3.8367264215625734, 0.58145680238231201),
+        (-3.0, -2.7362359505295384, 0.79070606166801682),
+        (-2.9, -2.656578748392374, 0.80238595879356733),
+        (-2.5, -2.3267729385454903, 0.84567933622483016),
+        (-2.0, -1.8921758622032121, 0.8909911101022433),
+        (-1.0, -0.96783022434982413, 0.95132288475007787),
+        (1.0, 0.98737288020547209, 0.99251100434353734),
+        (3.0, 2.9808328689259396, 0.99896607292349049),
+        (17.56, 17.539797293175141, 0.99999999950733964),
+        (18.0, 17.979797292999773, 0.99999999968270881),
+        (40.0, 39.979797292682484, 1.0),
+        (200.0, 199.97979729268249, 1.0),
+        (700.0, 699.97979729268252, 1.0),
+    ],
+    100.0: [
+        (-700.0, -11.148826779529015, 0.001439216236839478),
+        (-200.0, -9.8772597022933777, 0.0051328741357567036),
+        (-40.0, -8.1554374328958747, 0.028716964108792816),
+        (-36.0, -8.0334191025378665, 0.032443702691799046),
+        (-30.0, -7.816925620239406, 0.040285832025552852),
+        (-20.0, -7.3013249657078552, 0.067464224242319223),
+        (-7.0, -5.3439852704143211, 0.38684414995061006),
+        (-4.6, -4.08975058670263, 0.67595188957289254),
+        (-3.0, -2.8470531017039069, 0.8659075220615049),
+        (-2.9, -2.7600063805922734, 0.87495742128682086),
+        (-2.5, -2.4033995710857621, 0.90695501718795479),
+        (-2.0, -1.9418120076234133, 0.93776344815318968),
+        (-1.0, -0.98339648611035646, 0.97435228570302534),
+        (1.0, 0.99368234249033849, 0.99628828442655692),
+        (3.0, 2.9904573035799826, 0.99949275185528264),
+        (17.56, 17.5499496643878, 0.99999999975869691),
+        (18.0, 17.989949664301907, 0.99999999984459209),
+        (40.0, 39.989949664146501, 1.0),
+        (200.0, 199.98994966414651, 1.0),
+        (700.0, 699.98994966414648, 1.0),
+    ],
+    1000.0: [
+        (-700.0, -13.448085941542308, 0.001444010939715163),
+        (-200.0, -12.167932100310541, 0.0051943861592362488),
+        (-40.0, -10.389473073873736, 0.030754535646987262),
+        (-36.0, -10.258204099948593, 0.035068611040070141),
+        (-30.0, -10.021960534198353, 0.044413790659857885),
+        (-20.0, -9.434727709068083, 0.079898498003320537),
+        (-7.0, -6.4531716159401205, 0.66424104426217478),
+        (-4.6, -4.5131207765053896, 0.92161815202814257),
+        (-3.0, -2.9814502981512581, 0.98099500129405492),
+        (-2.9, -2.88326356767777, 0.98271387938121169),
+        (-2.5, -2.4890098664733782, 0.98821845368871331),
+        (-2.0, -1.9936772587541898, 0.99275571698425602),
+        (-1.0, -0.99828782706406471, 0.99729829678813775),
+        (1.0, 0.99936791246850287, 0.99963179085315723),
+        (3.0, 2.9990493827709703, 0.99995012063240429),
+        (17.56, 17.55899949969011, 0.99999999997630495),
+        (18.0, 17.998999499681677, 0.99999999998473954),
+        (40.0, 39.998999499666418, 1.0),
+        (200.0, 199.99899949966641, 1.0),
+        (700.0, 699.99899949966641, 1.0),
     ],
 }
 
@@ -376,7 +449,7 @@ def test_general_route_next_to_an_integer(k):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    alpha=st.sampled_from(sorted(_MPMATH) + [0.01, 1.25, 1 + 1e-12, 7.0, 50.0]),
+    alpha=st.sampled_from(sorted(_MPMATH) + [0.01, 1.25, 1 + 1e-12, 7.0, 20.5, 101.0, 1e6]),
     lam=st.floats(min_value=-1e4, max_value=700.0),
 )
 def test_general_slope_is_a_float_in_the_unit_interval(alpha, lam):
@@ -387,11 +460,21 @@ def test_general_slope_is_a_float_in_the_unit_interval(alpha, lam):
     assert type(d1) is float and 0.0 < d1 <= 1.0
 
 
-def test_general_route_is_limited_to_alpha_fifty():
-    assert PressureEval(50.0).method == "quadrature"
-    for alpha in (50.5, 51.0, 1e3):
-        with pytest.raises(ValueError, match="exact only up to alpha = 50"):
-            PressureEval(alpha)
+def test_general_route_takes_large_alpha():
+    # pa:beta=-0.99 has alpha = (2+beta)/(1+beta) = 101 and no closed form
+    ev = PressureEval(chain.model_from_name("pa:beta=-0.99").alpha)
+    assert ev.method == "quadrature"
+    assert pressure(ev, 0.0) == 0.0
+    assert rate(ev, 1.0).rate == pytest.approx(math.log(101 / 100), rel=1e-15)
+    for x in (0.05, 0.5, 0.9):  # lambda* in the lower series, near its switch, in the Laplace band
+        r = rate(ev, x)
+        assert r.rate > 0.0
+        assert pressure_derivatives(ev, r.lambda_star)[0] == pytest.approx(x, rel=1e-12)
+    # one ulp either side of the switches at lambda = -log(alpha) and -log 2
+    for lam in (-math.log(101.0), -math.log(2.0)):
+        lo, hi = math.nextafter(lam, -math.inf), math.nextafter(lam, math.inf)
+        assert pressure(ev, lo) == pytest.approx(pressure(ev, hi), rel=1e-14)
+        assert pressure_derivatives(ev, lo)[0] == pytest.approx(pressure_derivatives(ev, hi)[0], rel=1e-13)
 
 
 def _rate_reference(ev, x):
