@@ -82,8 +82,8 @@ class PressureEval:
     method: str = "auto"
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError("alpha must be finite and > 0")
         if self.method == "auto":
             resolved = next(
                 (m for m, (a, _, _) in _CLOSED_FORMS.items() if a == float(self.alpha)), "quadrature"

@@ -161,6 +161,8 @@ def test_method_scope_and_validation():
         PressureEval(1.0, method="closed_form_two")
     with pytest.raises(ValueError):
         PressureEval(-1.0)
+    with pytest.raises(ValueError, match="finite"):
+        PressureEval(math.inf)
 
 
 def test_quadrature_methods_agree_on_general_alpha():
