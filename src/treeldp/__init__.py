@@ -9,7 +9,6 @@ from .chain import (
     PlaneOrientedSlope,
     PrefAttachSlope,
     RandomizedPASlope,
-    SlopeSequence,
     Trajectory,
     UniformRecursiveSlope,
     YuleSlope,
@@ -18,8 +17,6 @@ from .chain import (
     model_from_name,
     simulate,
     simulate_endpoints,
-    slope_value,
-    step,
 )
 from .dist import (
     ExactPoly,

@@ -12,6 +12,9 @@ RandomizedPASlope adds the quenched multi-edge environment.  For
 rational parameters, values_float(N)[n-1] is the correctly rounded
 float(s_n), the same double the exact value(n) converts to, so every
 consumer of the float and the exact slope path sees identical slopes.
+
+simulate steps one path in a scalar loop; every vectorized simulation of
+the chain (simulate_endpoints, the bud counts in trees) steps on _walk.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "SlopeSequence",
     "AffineSlope",
     "LinearSlope",
     "UniformRecursiveSlope",
@@ -35,8 +37,6 @@ __all__ = [
     "Trajectory",
     "model_from_name",
     "make_generator",
-    "slope_value",
-    "step",
     "simulate",
     "simulate_endpoints",
     "interpolate",
@@ -49,8 +49,8 @@ DEFAULT_SEED = 20260819
 # and the chain draws never share randomness
 _STREAM_ENV = 101
 _STREAM_SIM = 202
-# uniforms per block of simulate_endpoints steps (128 KiB); larger blocks
-# run no faster
+# uniforms per block of chain-walker steps (128 KiB); larger blocks run
+# no faster
 _SIM_BLOCK = 1 << 14
 
 # integers below this magnitude are exact doubles
@@ -88,30 +88,8 @@ def _exact_quotient(numerator, bound: int, den: int, n_max: int) -> np.ndarray:
     return np.asarray(numerator(n) / den, dtype=float)
 
 
-class SlopeSequence:
-    """Base for s_n sequences.  Subclasses implement value(n) and label()."""
-
-    @property
-    def alpha(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def is_rational(self) -> bool:
-        raise NotImplementedError
-
-    def value(self, n: int) -> Fraction | float:
-        raise NotImplementedError
-
-    def values_float(self, n_max: int) -> np.ndarray:
-        """s_1..s_{n_max} as floats, vectorized for simulation loops."""
-        return np.array([float(self.value(n)) for n in range(1, n_max + 1)])
-
-    def label(self) -> str:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class AffineSlope(SlopeSequence):
+class AffineSlope:
     """s_n = a*n + b, kept exact when a and b are rational; `name` is the
     label echoed in output headers."""
 
@@ -185,7 +163,7 @@ def PrefAttachSlope(beta, dG1: int = 2, vG1: int = 2) -> AffineSlope:
 
 
 @dataclass(frozen=True)
-class RandomizedPASlope(SlopeSequence):
+class RandomizedPASlope:
     """Quenched slopes for randomized preferential attachment: vertex i
     arrives with gamma_i parallel edges, gamma_i drawn once from a finite
     pmf keyed by `seed`.  s_n = [dG1 + 2 sum_{i<n} gamma_i + (n-1+vG1) beta]/(1+beta).
@@ -271,7 +249,7 @@ class RandomizedPASlope(SlopeSequence):
 class ModelSpec:
     """A chain model: slope sequence plus initial count Z_1 = k0."""
 
-    slopes: SlopeSequence
+    slopes: AffineSlope | RandomizedPASlope
     k0: int
 
     def __post_init__(self):
@@ -376,27 +354,6 @@ def model_from_name(name: str) -> ModelSpec:
     raise ValueError(f"unknown model preset {name!r}")
 
 
-def slope_value(s: SlopeSequence, n: int) -> Fraction | float:
-    """s_n for the given slope sequence."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return s.value(n)
-
-
-def _up_probability(z: int, s: Fraction | float) -> float:
-    if z == 0:
-        return 1.0  # 0/0 = 0 convention: an empty count always grows
-    if z > s:
-        raise ValueError(f"state {z} exceeds slope {s}; increment probability would be negative")
-    return float(1 - Fraction(z) / s) if isinstance(s, Fraction) else 1.0 - z / s
-
-
-def step(n: int, z: int, model: ModelSpec, rng: np.random.Generator) -> int:
-    """One transition from Z_n = z; returns Z_{n+1}."""
-    p = _up_probability(z, model.slopes.value(n))
-    return z + (1 if rng.random() < p else 0)
-
-
 def simulate(model: ModelSpec, n: int, seed: int = DEFAULT_SEED) -> Trajectory:
     """Full path Z_1..Z_n; deterministic given seed."""
     if n < 1:
@@ -418,42 +375,60 @@ def simulate(model: ModelSpec, n: int, seed: int = DEFAULT_SEED) -> Trajectory:
     return Trajectory(model, vals, seed)
 
 
+def _walk(rng: np.random.Generator, k0: int, n: int, reps: int, slopes, record: bool = False) -> np.ndarray:
+    """Z_n of the chain from Z_1 = k0 for `reps` replicates, or with
+    `record` Z_1..Z_n, shape (reps, n).  Step j moves up when its uniform
+    u < 1 - z/s_j (always when z = s_j = 0).  The uniforms come `rows`
+    steps at a time, the same stream as one rng.random(reps) per step, and
+    `slopes` is the list s_1..s_{n-1} every replicate shares, or a
+    function of `rows` yielding per-replicate blocks of shape (rows, reps)."""
+    rows = max(1, _SIM_BLOCK // reps)
+    if callable(slopes):
+        blocks = slopes(rows)
+    else:
+        blocks = (slopes[i : i + rows] for i in range(0, n - 1, rows))
+    # the states as doubles, stepped in place: each count is an integer
+    # below 2^53, so z / s is the same double an int64 state would give
+    z = np.full(reps, float(k0))
+    p = np.empty(reps)
+    up = np.empty(reps, dtype=bool)
+    path = np.full((reps, n), k0, dtype=np.int64) if record else None
+    # a bound on max z: while it stays below the smallest s_j no state can
+    # exceed its slope and 1 - z/s_j is the law (z = 0 included), so max z
+    # is read again only when the bound reaches that slope
+    top = k0
+    first = 1
+    for block in blocks:
+        lows = block if isinstance(block, list) else block.min(axis=1).tolist()
+        u = rng.random((len(lows), reps))
+        for j, (u_j, s, low) in enumerate(zip(u, block, lows), first):
+            if top >= low:
+                top = int(z.max())
+            np.divide(z, s, out=p)
+            np.subtract(1.0, p, out=p)
+            if top >= low:
+                p[z == 0] = 1.0
+                worst = int(np.argmin(p))
+                if p[worst] < 0:
+                    bad = float(s if np.ndim(s) == 0 else s[worst])
+                    raise ValueError(f"state {int(z[worst])} exceeds slope {bad} at step {j}")
+            np.less(u_j, p, out=up)
+            z += up
+            top += 1
+            if record:
+                path[:, j] = z
+        first += len(lows)
+    return path if record else z.astype(np.int64)
+
+
 def simulate_endpoints(
     model: ModelSpec, n: int, reps: int, seed: int = DEFAULT_SEED
 ) -> np.ndarray:
     """Z_n over `reps` independent replicates (vectorized)."""
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be >= 1")
-    rng = make_generator(seed, _STREAM_SIM)
     svals = model.slopes.values_float(max(n - 1, 1)).tolist()
-    # the states as doubles, stepped in place: each count is an integer
-    # below 2^53, so z / s is the same double an int64 state would give
-    z = np.full(reps, float(model.k0))
-    p = np.empty(reps)
-    up = np.empty(reps, dtype=bool)
-    # a bound on max z: while it stays below s_j no state can exceed s_j
-    # and 1 - z/s_j is the law (z = 0 included), so max z is read again
-    # only when the bound reaches s_j
-    top = model.k0
-    rows = max(1, _SIM_BLOCK // reps)
-    for first in range(1, n, rows):
-        # one block of steps: the same stream as one rng.random(reps) per step
-        u = rng.random((min(rows, n - first), reps))
-        for j, u_j in enumerate(u, first):
-            s = svals[j - 1]
-            if top >= s:
-                top = int(z.max())
-            np.divide(z, s, out=p)
-            np.subtract(1.0, p, out=p)
-            if top >= s:
-                p[z == 0] = 1.0
-                worst = int(np.argmin(p))
-                if p[worst] < 0:
-                    raise ValueError(f"state {int(z[worst])} exceeds slope {s} at step {j}")
-            np.less(u_j, p, out=up)
-            z += up
-            top += 1
-    return z.astype(np.int64)
+    return _walk(make_generator(seed, _STREAM_SIM), model.k0, n, reps, svals)
 
 
 def interpolate(traj: Trajectory, t: float) -> float:

@@ -11,7 +11,9 @@ target, or a uniform vertex or gap) for a block of replicates, and counts
 what no step has hit yet.  A copy repeats a vertex an earlier step hit, so
 the counts read only the direct draws; copies are followed only to rebuild
 a structure.  Each single run (grow_*) is its batch grower at reps = 1,
-with the structure rebuilt from the resolved targets on request.
+with the structure rebuilt from the resolved targets on request.  Bud
+counts step on chain.py's walker instead, and the bud single run rebuilds
+its multigraph from the walker's recorded path.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from .chain import (
     DEFAULT_SEED,
     ModelSpec,
     RandomizedPASlope,
+    _walk,
     make_generator,
+    simulate_endpoints,
 )
 from .pressure import sigma_sq
 
@@ -207,7 +211,8 @@ def _cherries(tgt: np.ndarray, nvert: int, record_all: bool) -> np.ndarray:
 # replicates from that sub-stream, and its single run is a batch of one.
 _YULE = (7, _UNIFORM, _cherries)
 _STIRLING = (8, _GAPS, partial(_unhit, base=1, odd=True))
-_BUDS = 9  # sub-stream of the bud chain, which draws two uniforms per step
+_BUDS = 9  # sub-stream of the bud chain's coins, one uniform per step
+_BUD_TARGETS = 12  # sub-stream of the single run's target uniforms
 
 
 def _recursive(kind: str) -> tuple:
@@ -267,11 +272,11 @@ def grow_pa_graph(
     Either mode is its batch grower at reps = 1 (batch_pa_leaves,
     batch_pa_buds).
 
-    Bud selection is two-stage, from two uniforms per step: a coin picks
-    a bud target with probability Z_n/s_n, and the second uniform picks
-    it uniformly among buds, or else weight-proportionally among non-buds;
-    this realizes the counting chain exactly and coincides with plain
-    preferential attachment when gamma == 1.
+    Bud selection is two-stage: the count grows when the chain's coin
+    picks a non-bud, with probability 1 - Z_n/s_n, and only the structure
+    draws the target, weight-proportionally among non-buds or uniformly
+    among buds.  This realizes the counting chain exactly and coincides
+    with plain preferential attachment when gamma == 1.
     """
     grower = _pa(beta)  # refuses beta <= -1 in either mode
     if n < 1:
@@ -286,35 +291,31 @@ def grow_pa_graph(
 
     gv, gp = _coerce_pmf(multi_edge_pmf)
     slopes = RandomizedPASlope(beta, gv, gp, seed)
-    gammas = slopes.gammas(max(n - 1, 1))
-    svals = slopes.values_float(max(n - 1, 1))
-    rng = make_generator(seed, _STREAM_TREES, _BUDS)
+    z = batch_pa_buds(beta, (gv, gp), n, 1, seed, record_all=return_structure)[0]
+    if not return_structure:
+        return GrowthResult(slopes.label(), n, int(z), seed)
     degrees = np.zeros(n + 1, dtype=np.int64)  # vG1 + n - 1 vertices
     degrees[0] = degrees[1] = 1
     is_bud = np.zeros(n + 1, dtype=bool)
     is_bud[0] = is_bud[1] = True
     edges = [(0, 1, 1)]
-    z = 2
-    for m in range(1, n):
-        g = int(gammas[m - 1])
-        coin, u = rng.random(2)
-        if coin < z / svals[m - 1]:
-            buds = np.flatnonzero(is_bud[: m + 1])
-            target = int(buds[int(u * len(buds))])
+    u = make_generator(seed, _STREAM_TREES, _BUD_TARGETS).random(n - 1)
+    steps = zip(slopes.gammas(max(n - 1, 1)).tolist(), np.diff(z).tolist(), u.tolist())
+    for m, (g, grew, u_m) in enumerate(steps, 1):
+        # the count grows exactly when the target is not a bud
+        pool = np.flatnonzero(is_bud[: m + 1] != grew)
+        if grew:
+            cum = np.cumsum(degrees[pool] + beta)
+            target = int(pool[min(np.searchsorted(cum, u_m * cum[-1], side="right"), len(pool) - 1)])
         else:
-            rest = np.flatnonzero(~is_bud[: m + 1])
-            cum = np.cumsum(degrees[rest] + beta)
-            target = int(rest[min(np.searchsorted(cum, u * cum[-1], side="right"), len(rest) - 1)])
-        z += not is_bud[target]  # the new vertex is a bud, a bud target no longer
+            target = int(pool[int(u_m * len(pool))])
         is_bud[target] = False
         is_bud[m + 1] = True
         degrees[target] += g
         degrees[m + 1] = g
         edges.append((m + 1, target, g))
-    result = GrowthResult(slopes.label(), n, z, seed)
-    if return_structure:
-        return result, {"degrees": degrees, "edges": edges, "is_bud": is_bud}
-    return result
+    result = GrowthResult(slopes.label(), n, int(z[-1]), seed)
+    return result, {"degrees": degrees, "edges": edges, "is_bud": is_bud}
 
 
 def grow_yule(n: int, seed: int = DEFAULT_SEED, return_structure: bool = False):
@@ -423,25 +424,13 @@ def batch_pa_buds(
     environment (drawn from env_seed, defaulting to seed), with the
     two-stage target selection that realizes the chain exactly.  The bud
     count moves only with the stage-1 bud-vs-non-bud coin, so the vertex
-    bookkeeping of stage 2 is marginalized out."""
+    bookkeeping of stage 2 is marginalized out: one walker coin a step."""
     if n < 1:
         raise ValueError("n must be >= 1")
     gv, gp = _coerce_pmf(gamma_pmf)
     slopes = RandomizedPASlope(beta, gv, gp, seed if env_seed is None else env_seed)
-    svals = slopes.values_float(max(n - 1, 1))
-    rng = make_generator(seed, _STREAM_TREES, _BUDS)
-    z = np.full(reps, 2, dtype=np.int64)
-    out = np.empty((reps, n), dtype=np.int64) if record_all else None
-    if record_all:
-        out[:, 0] = z
-    for m in range(1, n):
-        z += rng.random(reps) >= z / svals[m - 1]
-        # the single run (grow_pa_graph) picks its target vertex from this
-        # draw; drawing it here keeps the batch at reps = 1 equal to that run
-        rng.random(reps)
-        if record_all:
-            out[:, m] = z
-    return out if record_all else z
+    svals = slopes.values_float(max(n - 1, 1)).tolist()
+    return _walk(make_generator(seed, _STREAM_TREES, _BUDS), 2, n, reps, svals, record_all)
 
 
 def bud_lln_endpoints(
@@ -450,7 +439,8 @@ def bud_lln_endpoints(
     """Bud counts at G_n, one independently drawn quenched environment per
     replicate.  Under the two-stage sampler the bud count depends only on
     the bud-vs-non-bud selections, so the vertex bookkeeping is
-    marginalized out exactly."""
+    marginalized out exactly; the chain walker steps each replicate on its
+    own slopes, drawn a block of steps at a time."""
     if n < 1:
         raise ValueError("n must be >= 1")
     gv, gp = _coerce_pmf(gamma_pmf)
@@ -458,16 +448,19 @@ def bud_lln_endpoints(
     cum_p = np.cumsum(np.asarray(gp, dtype=float))
     cum_p /= cum_p[-1]
     env_rng = make_generator(seed, _STREAM_TREES, 10)
-    sim_rng = make_generator(seed, _STREAM_TREES, 11)
-    z = np.full(reps, 2, dtype=np.int64)
-    cum_gamma = np.zeros(reps, dtype=np.int64)
-    dG1, vG1 = 2, 2
-    for m in range(1, n):
-        s = (dG1 + 2.0 * cum_gamma + (m - 1 + vG1) * beta) / (1.0 + beta)
-        z += sim_rng.random(reps) >= z / s
-        g = gv_arr[np.searchsorted(cum_p, env_rng.random(reps))]
-        cum_gamma += g
-    return z
+
+    def slopes(rows):
+        # one gamma per replicate and step; s_m reads the gammas of the
+        # steps before m, an exclusive prefix sum carried across blocks
+        cum_gamma = np.zeros(reps, dtype=np.int64)
+        for first in range(1, n, rows):
+            m = np.arange(first, min(first + rows, n))[:, None]
+            g = gv_arr[np.searchsorted(cum_p, env_rng.random((len(m), reps)))]
+            before = np.cumsum(g, axis=0) - g + cum_gamma
+            cum_gamma = before[-1] + g[-1]
+            yield (2 + 2.0 * before + (m + 1) * beta) / (1.0 + beta)  # dG1 = vG1 = 2
+
+    return _walk(make_generator(seed, _STREAM_TREES, 11), 2, n, reps, slopes)
 
 
 # ------------------------------------------------------------ stat harnesses
@@ -486,8 +479,6 @@ def _ks_normal(samples: np.ndarray, sigma: float) -> float:
 def verify_clt(model: ModelSpec, n: int, reps: int, seed: int = DEFAULT_SEED) -> StatReport:
     """Simulate Z_n and report CLT statistics: samples (Z_n - E Z_n)/sqrt(n),
     their variance, and the KS distance to N(0, sigma^2(alpha))."""
-    from .chain import simulate_endpoints
-
     z = simulate_endpoints(model, n, reps, seed)
     svals = model.slopes.values_float(max(n - 1, 1))
     mean = float(model.k0)

@@ -22,19 +22,17 @@ from treeldp import (
     model_from_name,
     simulate,
     simulate_endpoints,
-    slope_value,
-    step,
 )
 
 PRESETS = ["uniform", "plane_oriented", "yule", "pa:beta=0", "linear:alpha=3,k0=1"]
 
 
 def test_slope_values_match_presets():
-    assert slope_value(model_from_name("plane_oriented").slopes, 3) == 5
-    assert slope_value(model_from_name("yule").slopes, 4) == 2
-    assert slope_value(model_from_name("pa:beta=0").slopes, 2) == 4
-    assert slope_value(model_from_name("uniform").slopes, 5) == 5
-    assert slope_value(model_from_name("linear:alpha=3,k0=1").slopes, 2) == 6
+    assert model_from_name("plane_oriented").slopes.value(3) == 5
+    assert model_from_name("yule").slopes.value(4) == 2
+    assert model_from_name("pa:beta=0").slopes.value(2) == 4
+    assert model_from_name("uniform").slopes.value(5) == 5
+    assert model_from_name("linear:alpha=3,k0=1").slopes.value(2) == 6
 
 
 def test_slope_values_stay_exact():
@@ -146,23 +144,6 @@ def test_huge_rational_beta_uses_exact_integer_rounding():
     assert svals.tolist() == [float(s.value(k)) for k in range(1, 101)]
 
 
-def test_step_forced_transitions():
-    rng = make_generator(0)
-    plane = model_from_name("plane_oriented")
-    yule = model_from_name("yule")
-    assert all(step(1, 1, plane, rng) == 1 for _ in range(20))
-    assert all(step(1, 0, yule, rng) == 1 for _ in range(20))
-
-
-def test_step_half_probability():
-    # uniform at n=2, Z=1: the chain climbs with probability 1 - 1/s_2 = 1/2
-    uniform = model_from_name("uniform")
-    rng = make_generator(123)
-    ups = sum(step(2, 1, uniform, rng) - 1 for _ in range(20000))
-    freq = ups / 20000
-    assert abs(freq - 0.5) <= 3 * 0.5 / math.sqrt(20000)
-
-
 def test_simulate_forced_prefixes():
     plane = model_from_name("plane_oriented")
     yule = model_from_name("yule")
@@ -242,6 +223,23 @@ def test_simulate_endpoints_refuses_as_the_per_step_walk_does():
         with pytest.raises(ValueError) as got:
             simulate_endpoints(m, n, reps, seed)
         assert str(got.value) == str(want.value)
+
+
+def test_walker_refuses_the_first_replicate_over_its_own_slope():
+    # per-replicate slopes: replicate 1's s_2 = 0.5 is below its forced Z_2 = 1
+    def slopes(rows):
+        yield np.array([[1.0, 1.0], [2.0, 0.5], [3.0, 3.0]])
+
+    rng = make_generator(0)
+    with pytest.raises(ValueError, match="state 1 exceeds slope 0.5 at step 2"):
+        chain._walk(rng, 0, 4, 2, slopes)
+    # the same slopes shared by both replicates step as the list of them
+    a = chain._walk(make_generator(1), 0, 4, 2, [1.0, 2.0, 3.0], record=True)
+    shared = np.repeat([[1.0], [2.0], [3.0]], 2, axis=1)
+    b = chain._walk(make_generator(1), 0, 4, 2, lambda rows: iter([shared]), record=True)
+    assert a.shape == (2, 4) and a.dtype == np.int64
+    assert np.array_equal(a, b)
+    assert np.array_equal(a[:, :2], [[0, 1], [0, 1]])
 
 
 def test_endpoint_matches_trajectory_distribution():

@@ -25,7 +25,7 @@ from treeldp import (
     tv_against_chain,
     verify_clt,
 )
-from treeldp.chain import make_generator
+from treeldp.chain import _SIM_BLOCK, make_generator
 from treeldp.trees import _BLOCK, _STREAM_TREES, _ks_normal
 
 GAMMA_HALF = {1: 0.5, 2: 0.5}
@@ -501,6 +501,7 @@ def _two_stage_buds(beta, gamma_pmf, n, reps, seed, record_all=False):
     gammas = slopes.gammas(max(n - 1, 1))
     svals = slopes.values_float(max(n - 1, 1))
     rng = make_generator(seed, _STREAM_TREES, 9)
+    target_rng = make_generator(seed, _STREAM_TREES, 12)
     rows = np.arange(reps)
     degrees = np.zeros((reps, n + 1), dtype=np.int32)
     degrees[:, 0] = degrees[:, 1] = 1
@@ -511,11 +512,11 @@ def _two_stage_buds(beta, gamma_pmf, n, reps, seed, record_all=False):
     out[:, 0] = z
     for m in range(1, n):
         g = int(gammas[m - 1])
-        pick_bud = rng.random(reps) < z / svals[m - 1]
+        pick_bud = ~(rng.random(reps) < 1.0 - z / svals[m - 1])
         w_bud = np.where(is_bud[:, : m + 1], 1.0, 0.0)
         w_non = np.where(is_bud[:, : m + 1], 0.0, degrees[:, : m + 1] + beta)
         cum = np.cumsum(np.where(pick_bud[:, None], w_bud, w_non), axis=1)
-        r = rng.random(reps) * cum[:, -1]
+        r = target_rng.random(reps) * cum[:, -1]
         target = np.minimum(np.sum(cum <= r[:, None], axis=1), m)
         z += 1 - is_bud[rows, target]
         is_bud[rows, target] = False
@@ -536,6 +537,81 @@ def test_bud_batch_equals_two_stage_sampler(beta, seed):
             want = _two_stage_buds(beta, gamma, 25, 40, seed, record_all)
             got = batch_pa_buds(beta, gamma, 25, 40, seed, record_all=record_all)
             assert np.array_equal(got, want)
+
+
+def _batch_pa_buds_reference(beta, gamma_pmf, n, reps, seed, record_all=False):
+    """batch_pa_buds before it stepped on the chain walker, one
+    rng.random(reps) per step, with the walker's comparison."""
+    gv, gp = zip(*sorted(gamma_pmf.items()))
+    svals = RandomizedPASlope(beta, gv, gp, seed).values_float(max(n - 1, 1))
+    rng = make_generator(seed, _STREAM_TREES, 9)
+    z = np.full(reps, 2, dtype=np.int64)
+    out = np.empty((reps, n), dtype=np.int64)
+    out[:, 0] = z
+    for m in range(1, n):
+        z += rng.random(reps) < 1.0 - z / svals[m - 1]
+        out[:, m] = z
+    return out if record_all else z
+
+
+def _bud_lln_reference(beta, gamma_pmf, n, reps, seed):
+    """bud_lln_endpoints before its environment was drawn in blocks: one
+    environment and one chain draw per step, with the walker's comparison."""
+    gv, gp = zip(*sorted(gamma_pmf.items()))
+    gv_arr = np.array(gv)
+    cum_p = np.cumsum(np.asarray(gp, dtype=float))
+    cum_p /= cum_p[-1]
+    env_rng = make_generator(seed, _STREAM_TREES, 10)
+    sim_rng = make_generator(seed, _STREAM_TREES, 11)
+    z = np.full(reps, 2, dtype=np.int64)
+    cum_gamma = np.zeros(reps, dtype=np.int64)
+    for m in range(1, n):
+        s = (2 + 2.0 * cum_gamma + (m + 1) * beta) / (1.0 + beta)
+        z += sim_rng.random(reps) < 1.0 - z / s
+        cum_gamma += gv_arr[np.searchsorted(cum_p, env_rng.random(reps))]
+    return z
+
+
+# (n, reps): reps = 1 walks 16384 steps per block, reps >= _SIM_BLOCK one
+WALKER_SHAPES = ((1, 3), (2, 1), (20_000, 1), (40, _SIM_BLOCK), (7, _SIM_BLOCK + 5000), (2000, 1000))
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.5])
+def test_bud_batch_equals_the_per_step_walk(beta):
+    for seed, (n, reps) in enumerate(WALKER_SHAPES):
+        for gamma in (GAMMA_HALF, {1: 0.2, 3: 0.8}):
+            for record_all in (False, True):
+                want = _batch_pa_buds_reference(beta, gamma, n, reps, seed, record_all)
+                got = batch_pa_buds(beta, gamma, n, reps, seed, record_all=record_all)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want), (n, reps, seed, record_all)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+def test_bud_lln_equals_the_per_step_walk(beta):
+    for seed, (n, reps) in enumerate(WALKER_SHAPES):
+        want = _bud_lln_reference(beta, GAMMA_HALF, n, reps, seed)
+        got = bud_lln_endpoints(beta, GAMMA_HALF, n, reps, seed)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), (n, reps, seed)
+
+
+def test_bud_single_run_with_structure_is_its_batch_of_one():
+    for n in (1, 2, 3, 9, 40):
+        for seed in (0, 1, 7, 99):
+            for gamma in (GAMMA_HALF, {1: 0.2, 3: 0.8}):
+                res, extra = grow_pa_graph(0.5, n, seed, multi_edge_pmf=gamma, return_structure=True)
+                assert res.statistic == batch_pa_buds(0.5, gamma, n, 1, seed)[0], (n, seed)
+                assert res.statistic == int(extra["is_bud"].sum())
+                assert res == grow_pa_graph(0.5, n, seed, multi_edge_pmf=gamma)
+
+
+def test_bud_single_run_count_is_linear_in_n():
+    # the count alone is the walker at reps = 1; the O(n^2) bookkeeping
+    # sampler took about 20 s at this size
+    n = 100_000
+    res = grow_pa_graph(0.0, n, 5, multi_edge_pmf=GAMMA_HALF)
+    assert res.statistic == batch_pa_buds(0.0, GAMMA_HALF, n, 1, 5)[0]
 
 
 def test_degenerate_buds_reduce_to_plain_pa():
