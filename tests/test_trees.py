@@ -565,8 +565,9 @@ def _bud_lln_reference(beta, gamma_pmf, n, reps, seed):
     sim_rng = make_generator(seed, _STREAM_TREES, 11)
     z = np.full(reps, 2, dtype=np.int64)
     cum_gamma = np.zeros(reps, dtype=np.int64)
+    dG1, vG1 = 2, 2
     for m in range(1, n):
-        s = (2 + 2.0 * cum_gamma + (m + 1) * beta) / (1.0 + beta)
+        s = (dG1 + 2.0 * cum_gamma + (m - 1 + vG1) * beta) / (1.0 + beta)
         z += sim_rng.random(reps) < 1.0 - z / s
         cum_gamma += gv_arr[np.searchsorted(cum_p, env_rng.random(reps))]
     return z
@@ -607,8 +608,8 @@ def test_bud_single_run_with_structure_is_its_batch_of_one():
 
 
 def test_bud_single_run_count_is_linear_in_n():
-    # the count alone is the walker at reps = 1; the O(n^2) bookkeeping
-    # sampler took about 20 s at this size
+    # without the structure the count is the walker at reps = 1, O(n); the
+    # vertex bookkeeping is O(n^2)
     n = 100_000
     res = grow_pa_graph(0.0, n, 5, multi_edge_pmf=GAMMA_HALF)
     assert res.statistic == batch_pa_buds(0.0, GAMMA_HALF, n, 1, 5)[0]
