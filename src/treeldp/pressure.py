@@ -1,25 +1,25 @@
 """Pressure Lambda(lambda), its derivatives, ODE residual diagnostics,
 and the Legendre transform to the rate function I(x).
 
-Closed forms exist for alpha in {1/2, 1, 2}.  For general alpha (method
-"quadrature", the name kept from its first implementation) Lambda =
--log(alpha J0) with J0 = int_0^1 v^(alpha-1)/(1+cv) dv, c = e^lambda - 1,
-and the derivatives come from two more integrals of the same kind.  These
-are Gauss hypergeometric values, J0 = 2F1(1, alpha; alpha+1; -c)/alpha,
-evaluated by scipy.special.hyp2f1 for -3 < lambda <= log 3 and by two
-connection series outside that band: the log case in e^lambda below it,
-and a series in 1/c above it.  Both are exact in their tails.  For
-alpha > 20 the lower series stops at lambda = -log(alpha) and a Laplace
-series, in 1/alpha around the pole of the integrand, covers the band up to
-lambda = -log 2.  The route never uses the pressure ODE, so ode_residual
-stays a genuine check.
+One route serves every alpha: Lambda = -log(alpha J0) with
+J0 = int_0^1 v^(alpha-1)/(1+cv) dv, c = e^lambda - 1, and the derivatives
+come from two more integrals of the same kind.  These are Gauss
+hypergeometric values, J0 = 2F1(1, alpha; alpha+1; -c)/alpha, evaluated by
+scipy.special.hyp2f1 for -3 < lambda <= log 3 and by two connection series
+outside that band: the log case in e^lambda below it, and a series in 1/c
+above it.  Both are exact in their tails.  For alpha > 20 the lower series
+stops at lambda = -log(alpha) and a Laplace series, in 1/alpha around the
+pole of the integrand, covers the band up to lambda = -log 2.  lambda = 0
+takes the exact constants.  The route never uses the pressure ODE, so
+ode_residual stays a genuine check; the closed forms for alpha in
+{1/2, 1, 2} live in verify, as criterion 1's reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from scipy.optimize import brentq
 from scipy.special import digamma, expn, hyp2f1, zeta
@@ -33,12 +33,12 @@ __all__ = [
     "rate",
     "mean_slope",
     "sigma_sq",
-    "LAMBDA_SWITCH",
 ]
 
-LAMBDA_SWITCH = 1e-4
+# rate's upper bracket stops here, well below lambda = 709 where e^lambda
+# overflows; the lower one doubles until it brackets lambda*
 _BRACKET_CAP = 50.0
-# The general-alpha route sums the log-case series at and below
+# The route sums the log-case series at and below
 # _SERIES_SWITCH, where hyp2f1 loses digits (1e-9 off at lambda = -20, inf
 # from -30), and the series in 1/c above log 3 (c > 2, ratio <= 1/2), where
 # hyp2f1's 1/z transformation loses digits for alpha near an integer.
@@ -66,35 +66,15 @@ def sigma_sq(alpha: float) -> float:
     return alpha * alpha / ((1.0 + alpha) ** 2 * (2.0 + alpha))
 
 
-def _lambda3(alpha: float) -> float:
-    # Lambda'''(0) from the power series of the pressure ODE
-    # (e^L = (1-e^l)/a L' + e^l); vanishes at alpha = 1
-    a = mean_slope(alpha)
-    b = sigma_sq(alpha)
-    return (alpha - 3 * alpha * a * b - alpha * a**3 - 3 * b - a) / (alpha + 3.0)
-
-
 @dataclass(frozen=True)
 class PressureEval:
-    """Evaluator configuration: slope alpha and method."""
+    """Evaluator configuration: the slope alpha of s_n ~ alpha n."""
 
     alpha: float
-    method: str = "auto"
 
     def __post_init__(self):
         if not 0.0 < self.alpha < math.inf:
             raise ValueError("alpha must be finite and > 0")
-        if self.method == "auto":
-            resolved = next(
-                (m for m, (a, _, _) in _CLOSED_FORMS.items() if a == float(self.alpha)), "quadrature"
-            )
-            object.__setattr__(self, "method", resolved)
-        if self.method in _CLOSED_FORMS:
-            a = _CLOSED_FORMS[self.method][0]
-            if not math.isclose(self.alpha, a):
-                raise ValueError(f"{self.method} requires alpha = {a}")
-        elif self.method != "quadrature":
-            raise ValueError(f"unknown method {self.method!r}")
 
     @property
     def scope(self) -> str:
@@ -104,68 +84,7 @@ class PressureEval:
         return "proven" if (a > 1 or a in (0.5, 1.0)) else "extrapolated"
 
 
-# ---------------------------------------------------------------- closed forms
-
-
-def _cf_half(lam: float) -> float:
-    if lam > 0:
-        r = math.sqrt(math.expm1(lam))
-        return math.log(r / math.atan(r))
-    q = math.sqrt(-math.expm1(lam))
-    return math.log(q / math.atanh(q))
-
-
-def _cf_half_d(lam: float) -> tuple[float, float]:
-    if lam > 0:
-        r2 = math.expm1(lam)
-        r = math.sqrt(r2)
-        A = math.atan(r)
-        d1 = (1 + r2) / (2 * r2) - 1 / (2 * r * A)
-        d2 = -(1 + r2) / (2 * r2 * r2) + ((1 + r2) * A + r) / (4 * r * r2 * A * A)
-        return d1, d2
-    q2 = -math.expm1(lam)
-    q = math.sqrt(q2)
-    B = math.atanh(q)
-    d1 = -(1 - q2) / (2 * q2) + 1 / (2 * q * B)
-    d2 = -(1 - q2) / (2 * q2 * q2) + ((1 - q2) * B + q) / (4 * q * q2 * B * B)
-    return d1, d2
-
-
-def _cf_one(lam: float) -> float:
-    return math.log(math.expm1(lam) / lam)
-
-
-def _cf_one_d(lam: float) -> tuple[float, float]:
-    em = math.expm1(lam)
-    el = em + 1.0
-    d1 = el / em - 1.0 / lam
-    d2 = 1.0 / (lam * lam) - el / (em * em)
-    return d1, d2
-
-
-def _cf_two(lam: float) -> float:
-    em = math.expm1(lam)
-    return 2.0 * math.log(abs(em)) - math.log(2.0 * (em - lam))
-
-
-def _cf_two_d(lam: float) -> tuple[float, float]:
-    em = math.expm1(lam)
-    el = em + 1.0
-    den = em - lam
-    d1 = 2.0 * el / em - em / den
-    d2 = -2.0 * el / (em * em) - (el * den - em * em) / (den * den)
-    return d1, d2
-
-
-# method: (alpha, Lambda, (Lambda', Lambda'')); every other alpha takes _general
-_CLOSED_FORMS = {
-    "closed_form_half": (0.5, _cf_half, _cf_half_d),
-    "closed_form_one": (1.0, _cf_one, _cf_one_d),
-    "closed_form_two": (2.0, _cf_two, _cf_two_d),
-}
-
-
-# ------------------------------------------------------------- general alpha
+# --------------------------------------------------------------- the route
 #
 # With c = e^lambda - 1, Lambda = -log(alpha J0), Lambda' = e^lambda J1 / J0 and
 # Lambda'' = (e^lambda J1 - 2 e^(2 lambda) J2) / J0 + Lambda'^2, where
@@ -211,10 +130,12 @@ def _hyp(alpha: float, lam: float) -> tuple[float, list[float]]:
     _ALPHA_LARGE): the Pfaff form
     e^((m+1) lambda) (alpha+m) J_m = 2F1(m+1, 1; alpha+m+1; w), with
     w = 1 - e^-lambda in (-19.1, 2/3] computed directly, not rebuilt by
-    hyp2f1 from z = 1 - e^lambda."""
+    hyp2f1 from z = 1 - e^lambda.  Lambda takes f0 - 1 = w f1 / (alpha+1)
+    (contiguous in the first parameter), so it keeps its relative precision
+    as lambda -> 0."""
     w = -math.expm1(-lam)
     f = [float(hyp2f1(m + 1.0, 1.0, alpha + m + 1.0, w)) for m in range(3)]
-    return lam - math.log(f[0]), [fm / (alpha + m) for m, fm in enumerate(f)]
+    return lam - math.log1p(w * f[1] / (alpha + 1.0)), [fm / (alpha + m) for m, fm in enumerate(f)]
 
 
 def _x_minus_sin(x: float) -> float:
@@ -343,7 +264,11 @@ def _laplace_series(alpha: float, lam: float) -> tuple[float, list[float]]:
 
 
 def _general(alpha: float, lam: float) -> tuple[float, float, float]:
-    """(Lambda, Lambda', Lambda'') for alpha without a closed form."""
+    """(Lambda, Lambda', Lambda''): exact constants at lambda = 0."""
+    if not math.isfinite(lam):
+        raise ValueError("lambda must be finite")
+    if lam == 0.0:
+        return 0.0, mean_slope(alpha), sigma_sq(alpha)
     large = alpha > _ALPHA_LARGE
     if lam <= (-math.log(alpha) if large else _SERIES_SWITCH):
         lam_val, g = _log_series(alpha, lam)
@@ -360,42 +285,14 @@ def _general(alpha: float, lam: float) -> tuple[float, float, float]:
 
 
 def pressure(ev: PressureEval, lam: float) -> float:
-    """Lambda(lambda); exact 0 at lambda = 0, Taylor patch below
-    LAMBDA_SWITCH where the closed forms hit 0/0 cancellation."""
-    if not math.isfinite(lam):
-        raise ValueError("lambda must be finite")
-    if lam == 0.0:
-        return 0.0
-    if abs(lam) < LAMBDA_SWITCH:
-        a = ev.alpha
-        return (
-            mean_slope(a) * lam
-            + sigma_sq(a) * lam * lam / 2.0
-            + _lambda3(a) * lam**3 / 6.0
-        )
-    if ev.method in _CLOSED_FORMS:
-        return _CLOSED_FORMS[ev.method][1](lam)
+    """Lambda(lambda); exact 0 at lambda = 0."""
     return _general(ev.alpha, lam)[0]
 
 
 def pressure_derivatives(ev: PressureEval, lam: float) -> tuple[float, float]:
-    """(Lambda', Lambda''): analytic for the closed forms, from the
-    hypergeometric integrals J1, J2 otherwise; exact constants
-    (alpha/(alpha+1), sigma^2) at lambda = 0."""
-    if not math.isfinite(lam):
-        raise ValueError("lambda must be finite")
-    a = ev.alpha
-    if lam == 0.0:
-        return mean_slope(a), sigma_sq(a)
-    if abs(lam) < LAMBDA_SWITCH:
-        l3 = _lambda3(a)
-        return (
-            mean_slope(a) + sigma_sq(a) * lam + l3 * lam * lam / 2.0,
-            sigma_sq(a) + l3 * lam,
-        )
-    if ev.method in _CLOSED_FORMS:
-        return _CLOSED_FORMS[ev.method][2](lam)
-    return _general(a, lam)[1:]
+    """(Lambda', Lambda'') from the hypergeometric integrals J1, J2; exact
+    constants (alpha/(alpha+1), sigma^2) at lambda = 0."""
+    return _general(ev.alpha, lam)[1:]
 
 
 def ode_residual(ev: PressureEval, lam: float) -> float:
@@ -403,8 +300,7 @@ def ode_residual(ev: PressureEval, lam: float) -> float:
     true pressure."""
     if lam == 0.0:
         raise ValueError("the ODE residual is defined for lambda != 0")
-    L = pressure(ev, lam)
-    d1, _ = pressure_derivatives(ev, lam)
+    L, d1, _ = _general(ev.alpha, lam)
     return math.exp(L) - (1.0 - math.exp(lam)) / ev.alpha * d1 - math.exp(lam)
 
 
@@ -432,16 +328,16 @@ def rate(ev: PressureEval, x: float) -> RatePoint:
     if x == 1.0 or x > a:
         return RatePoint(x, math.inf, math.inf)
 
-    # memoized, so brentq reuses the bracket ends the doubling evaluated
-    @lru_cache(maxsize=None)
+    # memoized, so brentq reuses the bracket ends the doubling evaluated and
+    # Lambda(lambda*) comes from the evaluation that found lambda*
+    evaluate = lru_cache(maxsize=None)(partial(_general, a))
+
     def f(lam: float) -> float:
-        return pressure_derivatives(ev, lam)[0] - x
+        return evaluate(lam)[1] - x
 
     lo, hi = -1.0, 1.0
     while f(lo) > 0.0:
         lo *= 2.0
-        if lo < -_BRACKET_CAP:
-            raise ValueError(f"lambda* below -{_BRACKET_CAP}: x={x} too deep in the lower tail")
     while f(hi) < 0.0:
         hi *= 2.0
         if hi > _BRACKET_CAP:
@@ -450,4 +346,4 @@ def rate(ev: PressureEval, x: float) -> RatePoint:
         lam_star = 0.0
     else:
         lam_star = brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    return RatePoint(x, lam_star, lam_star * x - pressure(ev, lam_star))
+    return RatePoint(x, lam_star, lam_star * x - evaluate(lam_star)[0])

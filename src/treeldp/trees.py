@@ -443,6 +443,8 @@ def bud_lln_endpoints(
     own slopes, drawn a block of steps at a time."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if beta <= -1:
+        raise ValueError("randomized_pa needs beta > -1")
     gv, gp = _coerce_pmf(gamma_pmf)
     gv_arr = np.array(gv)
     cum_p = np.cumsum(np.asarray(gp, dtype=float))

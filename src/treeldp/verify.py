@@ -77,13 +77,37 @@ def _lambda_grid() -> list[float]:
     return [i * 0.1 for i in range(-50, 51) if i != 0]
 
 
+# Criterion 1's reference: the closed-form pressures, valid away from
+# lambda = 0 (the grid skips it; alpha = 2 cancels in e^lambda - 1 - lambda
+# as lambda -> 0, and alpha = 1/2 loses 1 - e^lambda below lambda ~ -30)
+
+
+def _cf_half(lam: float) -> float:
+    if lam > 0:
+        r = math.sqrt(math.expm1(lam))
+        return math.log(r / math.atan(r))
+    q = math.sqrt(-math.expm1(lam))
+    return math.log(q / math.atanh(q))
+
+
+def _cf_one(lam: float) -> float:
+    return math.log(math.expm1(lam) / lam)
+
+
+def _cf_two(lam: float) -> float:
+    em = math.expm1(lam)
+    return 2.0 * math.log(abs(em)) - math.log(2.0 * (em - lam))
+
+
+_CLOSED_FORMS = {0.5: _cf_half, 1.0: _cf_one, 2.0: _cf_two}
+
+
 def criterion_1(seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    """Quadrature pressure agrees with the closed forms to 1e-8."""
+    """The general pressure route agrees with the closed forms to 1e-8."""
     out = []
-    for alpha in (0.5, 1.0, 2.0):
-        ev_q = PressureEval(alpha, method="quadrature")
-        ev_c = PressureEval(alpha)
-        worst = max(abs(pressure(ev_q, lam) - pressure(ev_c, lam)) for lam in _lambda_grid())
+    for alpha, closed_form in _CLOSED_FORMS.items():
+        ev = PressureEval(alpha)
+        worst = max(abs(pressure(ev, lam) - closed_form(lam)) for lam in _lambda_grid())
         out.append(
             CheckResult(1, f"quadrature vs closed form, alpha={alpha:g}", worst, 1e-8)
         )

@@ -69,6 +69,16 @@ def test_pressure_timestamp_present_by_default(capsys):
     assert "# generated: " in out
 
 
+def test_pressure_deep_lower_tail_at_alpha_half(capsys):
+    # the closed form for alpha = 1/2 lost 1 - e^lambda here and raised a
+    # math domain error from lambda = -37.5
+    rc, out, _ = run_cli(capsys, "pressure", "--alpha", "0.5", "--lambda-grid", "-40:-30:2")
+    assert rc == 0
+    _, _, rows = csv_body(out)
+    assert len(rows) == 6
+    assert all(math.isfinite(float(v)) for r in rows for v in r)
+
+
 def test_model_supplies_alpha(capsys):
     rc, out, _ = run_cli(
         capsys, "pressure", "--model", "plane_oriented", "--lambda-grid", "1", "--no-header-timestamp"
@@ -111,6 +121,16 @@ def test_rate_json_contract(capsys):
         assert val >= 0.0
     # the rate shrinks toward the mean slope 2/3: smallest at x = 0.7
     assert min(doc["rows"], key=lambda r: r[2])[0] == pytest.approx(0.7)
+
+
+def test_rate_deep_lower_tail_at_alpha_half(capsys):
+    # mpmath: lambda* = -31.947038972206255, I = 1.8549995475936396
+    rc, out, _ = run_cli(capsys, "rate", "--alpha", "0.5", "--x-grid", "0.03")
+    assert rc == 0
+    _, _, rows = csv_body(out)
+    assert len(rows) == 1
+    assert float(rows[0][1]) == pytest.approx(-31.947038972206255, rel=1e-12)
+    assert float(rows[0][2]) == pytest.approx(1.8549995475936396, rel=1e-12)
 
 
 def test_rate_beyond_reach_is_inf(capsys):

@@ -86,6 +86,10 @@ def test_grower_validation():
                 batch_pa_buds(0.0, {1: 1.0}, n, 3, record_all=record_all)
         with pytest.raises(ValueError, match="n must be >= 1"):
             bud_lln_endpoints(0.0, {1: 1.0}, n, 3)
+    # as batch_pa_buds: beta = -1 made every slope infinite
+    for beta in (-1.0, -1.5, -2.0):
+        with pytest.raises(ValueError, match="beta > -1"):
+            bud_lln_endpoints(beta, {1: 0.5, 2: 0.5}, 50, 4, 1)
 
 
 # ------------------------------------------------------- structure recounts
