@@ -7,21 +7,23 @@ increment, the Hamiltonian
     H(t, phi, p) = log((1 - q) e^p + q),    q = phi/(alpha t),
 
 and minimizers solve phi' = dH/dp, p' = -dH/dphi (Dembo & Zeitouni,
-Ch. 5).  Near the origin every finite-cost path leaves linearly and the
-costate grows from zero along the one mode p = mu t^(1/alpha).
-`euler_solve` launches there at t = eps, integrates forward to t = 1,
-and finds mu with brentq on the increasing map mu -> phi(1).
+Ch. 5).  In log-time tau = log t, with u = phi/t, the system is
+autonomous: u' = dH/dp - u and p' = (e^p - 1)/(alpha D), D = e^H.  So
+every optimal path lies on the unstable manifold of the LLN point
+(u, p) = (alpha/(alpha + 1), 0), one branch on each side of it, and the
+target only fixes where on that branch t = 1 falls.  `euler_solve`
+launches along the unstable eigenvector, integrates once until u
+reaches the target, and reads phi(t) = t u(log t + tau_x) off the
+trajectory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
 
 __all__ = [
     "PathFunction",
@@ -31,13 +33,18 @@ __all__ = [
     "euler_solve",
 ]
 
-_EPS_LAUNCH = 1e-8
-# knots of a returned path, fixed apart from the launch time
+# knots of a returned path
 _KNOTS = np.concatenate([[0.0], np.linspace(1e-6, 1.0, 1001)])
 _SLOPE_TOL = 1e-9
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(30)
 # regular pieces per Gauss pass: bounds the (pieces x nodes) temporaries
 _GAUSS_CHUNK = 64
+# The launch sits on the unstable eigenvector at costate |p0| <= _LAUNCH_P,
+# where the manifold leaves it by O(p0^2), and at most e^(-_LAUNCH_SPAN/alpha)
+# of the way to the target, so the path spends about _LAUNCH_SPAN of
+# log-time on the manifold before t = 1 and the launch error dies out.
+_LAUNCH_P = 1e-3
+_LAUNCH_SPAN = 20.0
 
 
 @dataclass(frozen=True)
@@ -201,39 +208,21 @@ class EulerSolution:
         return abs(self.endpoint - self.x_target)
 
 
-def _launch_slope(p: float, alpha: float) -> float:
-    """Slope c of the straight path phi = c t with costate p: c = alpha r
-    for the root r of alpha expm1(-p) r^2 + (1 + alpha) r = 1, so
-    alpha/(alpha + 1) at p = 0."""
-    disc = (1.0 + alpha) ** 2 + 4.0 * alpha * math.expm1(-p)
-    return 2.0 * alpha / (1.0 + alpha + math.sqrt(disc))
-
-
-def _hamilton_rhs(t: float, state, alpha: float):
-    """(phi', p', cost density) for H = log D, D = (1 - q) e^p + q and
-    q = phi/(alpha t): phi' = dH/dp, p' = -dH/dphi = (e^p - 1)/(alpha t D)
-    and p phi' - H.  D and e^p - 1 are carried divided by e^max(p, 0), so
-    no exponential overflows as the target nears 1."""
-    phi, p, _cost = state
-    q = phi / (alpha * t)
+def _hamilton_rhs(tau: float, state, alpha: float):
+    """(u', p', C') in log-time for H = log D, D = (1 - q) e^p + q and
+    q = u/alpha: u' = dH/dp - u, p' = (e^p - 1)/(alpha D), and
+    C' = (p dH/dp - H) - C, so C(tau) = (1/t) int_0^t L ds.  D and e^p - 1
+    are carried divided by e^max(p, 0), so no exponential overflows as the
+    target nears 1."""
+    u, p, cost = state
+    q = u / alpha
     if p > 0.0:
         up, stay, top, grow = 1.0 - q, q * math.exp(-p), p, -math.expm1(-p)
     else:
         up, stay, top, grow = (1.0 - q) * math.exp(p), q, 0.0, math.expm1(p)
     d = up + stay
     v = up / d
-    return (v, grow / (alpha * t * d), p * v - top - math.log(d))
-
-
-def _shoot(alpha: float, mu: float, dense: bool = False):
-    """Launch slope and trajectory from the growing mode p(eps) = mu eps^(1/alpha)."""
-    p0 = mu * _EPS_LAUNCH ** (1.0 / alpha)
-    c = _launch_slope(p0, alpha)
-    sol = solve_ivp(_hamilton_rhs, (_EPS_LAUNCH, 1.0), (c * _EPS_LAUNCH, p0, 0.0), args=(alpha,),
-                    method="DOP853", rtol=1e-11, atol=1e-13, dense_output=dense)
-    if not sol.success:
-        raise RuntimeError(f"integration failed at mu={mu}: {sol.message}")
-    return c, sol
+    return (v - u, grow / (alpha * d), p * v - top - math.log(d) - cost)
 
 
 def _project_admissible(knots: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -247,38 +236,45 @@ def _project_admissible(knots: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def euler_solve(alpha: float, x_target: float) -> EulerSolution:
-    """Optimal trajectory hitting phi(1) = x_target by forward shooting of
-    the Hamiltonian system: brentq on the launch-mode scale mu, on which
-    phi(1) is increasing, from the bracket [-1, 1] doubled until it holds
-    the target."""
+    """Optimal trajectory hitting phi(1) = x_target: one integration along
+    the branch of the unstable manifold that heads for x_target, stopped
+    where u = x_target.  The LLN target is the straight line at cost 0."""
     if not alpha > 1.0:
         raise ValueError("euler_solve requires alpha > 1")
     if not 0.0 < x_target < 1.0:
         raise ValueError("x_target must lie in (0, 1)")
+    lln = alpha / (alpha + 1.0)
+    gap = x_target - lln
+    if gap == 0.0:
+        return EulerSolution(alpha, x_target, PathFunction(_KNOTS, lln * _KNOTS), 0.0,
+                             shoot_param=lln, endpoint=x_target)
+    # unstable eigenvector (eigenvalue 1/alpha) of the LLN point: du = kappa dp
+    kappa = alpha * alpha / ((alpha + 1.0) ** 2 * (alpha + 2.0))
+    share = min(0.5, math.exp(-_LAUNCH_SPAN / alpha))
+    p0 = math.copysign(min(_LAUNCH_P, abs(gap) / kappa * share), gap)
+    c = lln + kappa * p0
 
-    @lru_cache(maxsize=None)
-    def gap(mu: float) -> float:
-        return float(_shoot(alpha, mu)[1].y[0, -1]) - x_target
+    def reached(tau: float, state, alpha: float) -> float:
+        return state[0] - x_target
 
-    lo, hi = -1.0, 1.0
+    reached.terminal = True
     try:
-        while gap(lo) > 0.0:
-            lo *= 2.0
-        while gap(hi) < 0.0:
-            hi *= 2.0
-    except OverflowError:
-        # the launch costate left double range before bracketing the target
-        raise ValueError(f"x_target={x_target} is beyond the reach of the launch") from None
-    c, sol = _shoot(alpha, brentq(gap, lo, hi), dense=True)
-    endpoint = float(sol.y[0, -1])
-    if abs(endpoint - x_target) > 1e-7:
-        raise RuntimeError(
-            f"shooting stalled: endpoint {endpoint} vs target {x_target} "
-            f"(gap {abs(endpoint - x_target):.2e})"
-        )
-    # the functional is nonnegative; rounding at the LLN target can leave
-    # a -1e-16 residue
-    cost = max(float(sol.y[2, -1]) + _EPS_LAUNCH * _constant_slope_cost(c, alpha), 0.0)
-    values = np.concatenate([[0.0], sol.sol(_KNOTS[1:])[0]])
+        # from about x_target = 1e-307 down the costate overflows first
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = solve_ivp(_hamilton_rhs, (0.0, math.inf), (c, p0, _constant_slope_cost(c, alpha)),
+                            args=(alpha,), method="DOP853", rtol=1e-11, atol=1e-13,
+                            events=reached, dense_output=True)
+        if sol.status != 1:
+            raise ArithmeticError(sol.message)
+    except (ArithmeticError, ValueError) as err:
+        raise ValueError(f"x_target={x_target} is beyond the reach of the integration ({err})") from None
+    # tau_x puts t = 1 where u = x_target; knots before the launch follow
+    # the launch slope
+    tau = np.log(_KNOTS[1:]) + sol.t[-1]
+    u = np.where(tau > 0.0, sol.sol(np.maximum(tau, 0.0))[0], c)
+    values = np.concatenate([[0.0], _KNOTS[1:] * u])
     path = PathFunction(_KNOTS, _project_admissible(_KNOTS, values))
-    return EulerSolution(alpha, x_target, path, cost, shoot_param=c, endpoint=endpoint)
+    # the functional is nonnegative; rounding near the LLN target can leave
+    # a -1e-15 residue
+    cost = max(float(sol.y[2, -1]), 0.0)
+    return EulerSolution(alpha, x_target, path, cost, shoot_param=c, endpoint=float(sol.y[0, -1]))

@@ -35,9 +35,9 @@ __all__ = [
     "sigma_sq",
 ]
 
-# rate's upper bracket stops here, well below lambda = 709 where e^lambda
+# rate's upper bracket doubles up to here, below lambda = 709 where e^lambda
 # overflows; the lower one doubles until it brackets lambda*
-_BRACKET_CAP = 50.0
+_BRACKET_CAP = 512.0
 # The route sums the log-case series at and below
 # _SERIES_SWITCH, where hyp2f1 loses digits (1e-9 off at lambda = -20, inf
 # from -30), and the series in 1/c above log 3 (c > 2, ratio <= 1/2), where
@@ -339,9 +339,9 @@ def rate(ev: PressureEval, x: float) -> RatePoint:
     while f(lo) > 0.0:
         lo *= 2.0
     while f(hi) < 0.0:
+        if hi >= _BRACKET_CAP:
+            raise ValueError(f"lambda* above {_BRACKET_CAP:g}: x={x} too close to the upper edge")
         hi *= 2.0
-        if hi > _BRACKET_CAP:
-            raise ValueError(f"lambda* above {_BRACKET_CAP}: x={x} too close to the upper edge")
     if abs(f(0.0)) < 1e-15:
         lam_star = 0.0
     else:

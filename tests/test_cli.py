@@ -154,6 +154,15 @@ def test_rate_grid_through_alpha_below_one(capsys):
     assert [r[1:] for r in rows[2:]] == [["inf", "inf"]] * 5
 
 
+def test_rate_above_the_old_bracket_cap(capsys):
+    # alpha = 1, x = 0.97: lambda* = 33.3, which the bracket once refused
+    rc, out, _ = run_cli(capsys, "rate", "--alpha", "1", "--x-grid", "0.97")
+    assert rc == 0
+    _, _, rows = csv_body(out)
+    assert float(rows[0][1]) == pytest.approx(100.0 / 3.0, rel=1e-12)
+    assert float(rows[0][2]) == pytest.approx(2.50655789732, abs=1e-11)
+
+
 def test_rate_grid_up_to_alpha_three_quarters(capsys):
     # lambda* runs up to 12.6 at x = 0.74: the upper tail of the general route
     rc, out, _ = run_cli(

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -149,10 +149,10 @@ def test_path_rate_nonnegative(s1, s2, s3):
 
 def test_euler_mean_target_is_free():
     sol = euler_solve(2.0, 2.0 / 3.0)
-    assert sol.cost == pytest.approx(0.0, abs=1e-9)
-    assert sol.cost >= 0.0
+    assert sol.cost == 0.0
+    assert sol.terminal_gap == 0.0 and sol.shoot_param == 2.0 / 3.0
     tt = np.linspace(0.0, 1.0, 11)
-    np.testing.assert_allclose(sol.path(tt), 2.0 / 3.0 * tt, atol=1e-6)
+    np.testing.assert_allclose(sol.path(tt), 2.0 / 3.0 * tt, atol=1e-15)
 
 
 @pytest.mark.parametrize("x", [0.13, 0.85])
@@ -200,8 +200,55 @@ def test_euler_matches_rate_across_alpha(alpha):
         sol = euler_solve(alpha, x)
         target = rate(ev, x).rate
         assert sol.terminal_gap <= 1e-9
-        assert sol.cost == pytest.approx(target, abs=1e-8)
+        assert sol.cost == pytest.approx(target, abs=1e-9)
         assert path_rate(sol.path, alpha) == pytest.approx(target, abs=1e-4)
+
+
+# phi(t) at t = 0.01, 0.1, 0.5, 0.9 from the brentq shooter (launch at
+# t = 1e-8, bracket doubling on the launch scale) that the one-shot
+# manifold route replaced
+_SHOOTER_PATHS = {
+    (2.0, 0.13): (0.006196426665040161, 0.049394328022238254, 0.121249369248292, 0.1296519860921662),
+    (2.0, 0.85): (0.00695631117598653, 0.07480336595325691, 0.4076910279666274, 0.7602033799477702),
+    (3.0, 0.5): (0.007134711519059399, 0.06611028417636072, 0.2852636108040093, 0.4612693983578484),
+}
+
+
+@pytest.mark.parametrize("alpha, x", sorted(_SHOOTER_PATHS))
+def test_euler_path_matches_the_shooter(alpha, x):
+    sol = euler_solve(alpha, x)
+    got = sol.path(np.array([0.01, 0.1, 0.5, 0.9]))
+    np.testing.assert_allclose(got, _SHOOTER_PATHS[alpha, x], rtol=0.0, atol=1e-9)
+    assert sol.path.values[-1] == sol.endpoint
+
+
+def test_euler_integrates_once_per_call(monkeypatch):
+    calls = []
+
+    def counting_solve_ivp(*args, **kwargs):
+        calls.append(1)
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(path_mod, "solve_ivp", counting_solve_ivp)
+    for alpha, x in [(2.0, 0.13), (2.0, 0.85), (1.5, 0.5), (3.0, 0.5), (20.0, 0.02)]:
+        before = len(calls)
+        euler_solve(alpha, x)
+        assert len(calls) - before == 1
+    # the LLN target is the straight line and integrates nothing
+    euler_solve(2.0, 2.0 / 3.0)
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("offset", [1e-9, -1e-9, 1e-6, -1e-6])
+def test_euler_near_the_lln_target(alpha, offset):
+    # the launch scales with |x - alpha/(alpha+1)|, so it never starts
+    # beyond a target this close
+    x = alpha / (alpha + 1.0) + offset
+    sol = euler_solve(alpha, x)
+    assert sol.terminal_gap <= 1e-9
+    assert sol.cost == pytest.approx(rate(PressureEval(alpha), x).rate, abs=1e-12)
+    assert sol.cost >= 0.0
 
 
 @pytest.mark.parametrize("alpha, x", [(2.0, 0.02), (2.0, 1.0 - 1e-9), (2.0, 1e-8), (100.0, 0.02)])
@@ -209,20 +256,30 @@ def test_euler_edge_targets(alpha, x):
     sol = euler_solve(alpha, x)
     assert sol.terminal_gap <= 1e-9
     assert math.isfinite(sol.cost) and sol.cost > 0.0
+    assert sol.cost == pytest.approx(rate(PressureEval(alpha), x).rate, abs=1e-9)
     if (alpha, x) == (2.0, 0.02):
-        # rate() refuses |lambda*| > 50 here; reference value from the
-        # second-order Euler-equation shooter this solver replaced
-        assert sol.cost == pytest.approx(3.5851701859700094, abs=1e-8)
+        # lambda* = -51 here; rate() answers I = 3.5851701859880913
+        assert sol.cost == pytest.approx(3.5851701859880913, abs=1e-9)
     if (alpha, x) == (2.0, 1e-8):
         # lambda* = -1 - 1/x and e^lambda* underflows, so at alpha = 2
         # I(x) = log(2/x) - 1 - x to double precision
         assert sol.cost == pytest.approx(math.log(2.0 / x) - 1.0 - x, abs=1e-8)
 
 
-def test_euler_refuses_targets_beyond_the_launch():
-    # the launch costate leaves double range before phi(1) gets this low
-    with pytest.raises(ValueError, match="beyond the reach of the launch"):
-        euler_solve(2.0, 1e-200)
+def test_euler_reaches_the_far_lower_tail():
+    # the manifold reaches u = 1e-200 at log-time 460 past the launch;
+    # rate(): I = 460.2101657793691 (lambda* about -1e200)
+    sol = euler_solve(2.0, 1e-200)
+    assert sol.terminal_gap <= 1e-210
+    assert sol.cost == pytest.approx(rate(PressureEval(2.0), 1e-200).rate, abs=1e-9)
+    assert sol.cost == pytest.approx(460.2101657793691, abs=1e-9)
+
+
+def test_euler_refuses_targets_beyond_the_integration():
+    # below about 1e-307 the costate overflows before u gets this low
+    for x in (1e-310, 5e-324):
+        with pytest.raises(ValueError, match="beyond the reach of the integration"):
+            euler_solve(2.0, x)
 
 
 def _piece_cost_reference(ta, tb, xa, y, alpha):

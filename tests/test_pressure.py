@@ -162,6 +162,21 @@ def test_rate_reaches_the_far_lower_tail():
             assert pt.rate > 0.0
 
 
+def test_rate_upper_bracket_reaches_its_cap():
+    # the upper bracket doubles up to 512: lambda* = 1/(1 - x) = 33.3 at
+    # alpha = 1, x = 0.97, one doubling beyond the old refusal at 32
+    pt = rate(PressureEval(1.0), 0.97)
+    assert pt.lambda_star == pytest.approx(100.0 / 3.0, rel=1e-12)
+    assert pt.rate == pytest.approx(2.50655789732, abs=1e-11)
+    pt = rate(PressureEval(0.75), 0.74995)
+    assert 32.0 < pt.lambda_star < 64.0
+    assert pressure_derivatives(PressureEval(0.75), pt.lambda_star)[0] == pytest.approx(0.74995, rel=1e-15)
+    assert 0.0 < pt.rate < math.log(3 * math.pi / (2 * math.sqrt(2)))
+    # beyond the cap the refusal names it: lambda* = 1000 at alpha = 1
+    with pytest.raises(ValueError, match="lambda\\* above 512: x=0.999 "):
+        rate(PressureEval(1.0), 0.999)
+
+
 def test_constants_formulas():
     assert mean_slope(3.0) == 0.75
     assert sigma_sq(2.0) == pytest.approx(1 / 9, abs=1e-15)
