@@ -23,7 +23,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
+from scipy.special import xlogy
 
 __all__ = [
     "PathFunction",
@@ -36,9 +37,6 @@ __all__ = [
 # knots of a returned path
 _KNOTS = np.concatenate([[0.0], np.linspace(1e-6, 1.0, 1001)])
 _SLOPE_TOL = 1e-9
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(30)
-# regular pieces per Gauss pass: bounds the (pieces x nodes) temporaries
-_GAUSS_CHUNK = 64
 # The launch sits on the unstable eigenvector at costate |p0| <= _LAUNCH_P,
 # where the manifold leaves it by O(p0^2), and at most e^(-_LAUNCH_SPAN/alpha)
 # of the way to the target, so the path spends about _LAUNCH_SPAN of
@@ -115,83 +113,49 @@ def local_cost(t: float, x: float, y: float, alpha: float) -> float:
     return term_up + term_stay
 
 
-def _constant_slope_cost(y: float, alpha: float) -> float:
-    """Cost density along phi = y t (t-independent by scaling)."""
-    if y == 0.0:
-        return math.inf
-    if y > alpha or y == alpha:
-        # phi = alpha t rides the upper boundary (alpha <= 1 only)
-        return math.inf
-    return local_cost(1.0, y, y, alpha)
-
-
-def _singular_cost(ta: float, tb: float, xa: float, y: float, alpha: float) -> float:
-    """Integral of L along one piece with an integrable log singularity at
-    an endpoint, by the adaptive rule."""
-
-    def f(t: float) -> float:
-        x = min(max(xa + y * (t - ta), 0.0), alpha * t)
-        return local_cost(t, x, y, alpha)
-
-    val, _ = quad(f, ta, tb, epsabs=1e-13, epsrel=1e-13, limit=200)
-    return val
-
-
-def _gauss_costs(ta, tb, xa, y, alpha: float) -> np.ndarray:
-    """Integrals of L along regular pieces by the Gauss rule, all pieces at
-    once; the elementwise arithmetic is local_cost's."""
-    t = 0.5 * (ta + tb)[:, None] + 0.5 * (tb - ta)[:, None] * _GAUSS_NODES
-    u = alpha * t
-    y = y[:, None]
-    x = np.minimum(np.maximum(xa[:, None] + y * (t - ta[:, None]), 0.0), u)
+def _mean_log(a, b) -> np.ndarray:
+    """Mean of log over an affine function running from a to b (arrays,
+    >= 0): log h - r log r/(1 - r) - 1 with h = max(a, b), r = min/h,
+    through d = 1 - r so that nothing cancels on short pieces; -inf where
+    a = b = 0."""
+    h = np.maximum(a, b)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = (np.where(y == 0.0, 0.0, y * np.log(u / (u - x) * y))
-                + np.where(y == 1.0, 0.0, (1.0 - y) * np.log(u / x * (1.0 - y))))
-    cost = 0.5 * (tb - ta) * (vals @ _GAUSS_WEIGHTS)
-    cost[~np.isfinite(vals).all(axis=1)] = np.inf
-    return cost
-
-
-def _piece_costs(ta, tb, xa, y, alpha: float) -> np.ndarray:
-    """Integral of L along each linear piece (arrays, ta > 0); all +inf as
-    soon as one piece leaves the admissible cone, lingers on the zero line
-    or rides the upper boundary."""
-    xb = xa + y * (tb - ta)
-    ua, ub = alpha * ta, alpha * tb
-    infinite = ((xa > ua + 1e-13) | (xb > ub + 1e-13)
-                | ((xa <= _SLOPE_TOL) & (y <= 0.0))
-                | ((np.abs(xa - ua) <= 1e-14) & (np.abs(y - alpha) <= 1e-14) & (y > 0.0)))
-    cost = np.full(len(ta), np.inf)
-    if infinite.any():
-        return cost
-    singular = ((xa <= _SLOPE_TOL) & (y < 1.0)) | (ua - xa <= 1e-12) | (ub - xb <= 1e-12)
-    for i in np.flatnonzero(singular):
-        cost[i] = _singular_cost(float(ta[i]), float(tb[i]), float(xa[i]), float(y[i]), alpha)
-    regular = np.flatnonzero(~singular)
-    for j in range(0, len(regular), _GAUSS_CHUNK):
-        idx = regular[j : j + _GAUSS_CHUNK]
-        cost[idx] = _gauss_costs(ta[idx], tb[idx], xa[idx], y[idx], alpha)
-    return cost
+        d = np.abs(b - a) / h
+        g = np.where(d == 1.0, 0.0, np.where(d > 0.0, (1.0 - d) * np.log1p(-d) / d, -1.0))
+        return np.log(h) - g - 1.0
 
 
 def path_rate(phi: PathFunction, alpha: float) -> float:
     """I(phi) = int_0^1 L(alpha t, phi, phidot) dt for a piecewise-linear
-    path; +inf as soon as a divergence holds on positive measure."""
+    path, exact: along a piece phi = y t + c,
+
+        L = y log y + (1 - y) log(1 - y) + log(alpha t)
+            - y log((alpha - y) t - c) - (1 - y) log(y t + c),
+
+    the logs of three affine functions of t, each integrated by
+    `_mean_log`.  +inf as soon as one piece leaves the admissible cone,
+    lingers on the zero line or rides the upper boundary."""
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
-    knots = phi.knots
-    slopes = np.clip(phi.slopes(), 0.0, 1.0)
-    # the first piece leaves 0 linearly: the integrand is constant
-    first = _constant_slope_cost(float(slopes[0]), alpha)
-    if math.isinf(first):
+    dt = np.diff(phi.knots)
+    y = np.clip(phi.slopes(), 0.0, 1.0)
+    # phi(0) = 0 exactly (PathFunction allows it _SLOPE_TOL of play)
+    xa = np.concatenate([[0.0], phi.values[1:-1]])
+    xb = xa + y * dt
+    ua, ub = alpha * phi.knots[:-1], alpha * phi.knots[1:]
+    if np.any((xa > ua + 1e-13) | (xb > ub + 1e-13)
+              | ((xa <= _SLOPE_TOL) & (y <= 0.0))
+              | ((np.abs(xa - ua) <= 1e-14) & (np.abs(y - alpha) <= 1e-14) & (y > 0.0))):
         return math.inf
-    costs = _piece_costs(knots[1:-1], knots[2:], phi.values[1:-1], slopes[1:], alpha)
-    if np.isinf(costs).any():
-        return math.inf
-    total = (knots[1] - knots[0]) * first
-    for c in costs.tolist():
-        total += c
-    return float(total)
+    xa, xb = np.clip(xa, 0.0, ua), np.clip(xb, 0.0, ub)
+    up, stay = _mean_log(ua - xa, ub - xb), _mean_log(xa, xb)
+    # 0 log 0 = 0, also where a log's mean is -inf
+    with np.errstate(invalid="ignore"):
+        density = (xlogy(y, y) + xlogy(1.0 - y, 1.0 - y) + _mean_log(ua, ub)
+                   - np.where(y > 0.0, y * up, 0.0) - np.where(y < 1.0, (1.0 - y) * stay, 0.0))
+    # the functional is nonnegative; on a zero-cost line rounding can
+    # leave a -1e-17 residue
+    return max(float(dt @ density), 0.0)
 
 
 @dataclass(frozen=True)
@@ -261,7 +225,7 @@ def euler_solve(alpha: float, x_target: float) -> EulerSolution:
     try:
         # from about x_target = 1e-307 down the costate overflows first
         with np.errstate(over="ignore", invalid="ignore"):
-            sol = solve_ivp(_hamilton_rhs, (0.0, math.inf), (c, p0, _constant_slope_cost(c, alpha)),
+            sol = solve_ivp(_hamilton_rhs, (0.0, math.inf), (c, p0, local_cost(1.0, c, c, alpha)),
                             args=(alpha,), method="DOP853", rtol=1e-11, atol=1e-13,
                             events=reached, dense_output=True)
         if sol.status != 1:

@@ -109,7 +109,7 @@ def criterion_1(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         ev = PressureEval(alpha)
         worst = max(abs(pressure(ev, lam) - closed_form(lam)) for lam in _lambda_grid())
         out.append(
-            CheckResult(1, f"quadrature vs closed form, alpha={alpha:g}", worst, 1e-8)
+            CheckResult(1, f"hypergeometric route vs closed form, alpha={alpha:g}", worst, 1e-8)
         )
     return out
 

@@ -19,7 +19,7 @@ def _run(idx: int):
     )
 
 
-def test_criterion_1_quadrature_matches_closed_forms():
+def test_criterion_1_hypergeometric_route_matches_closed_forms():
     _run(1)
 
 

@@ -62,7 +62,7 @@ def test_pressure_is_continuous_through_1e_4():
     # cover |lambda| < 1e-4
     lam=st.one_of(st.floats(min_value=-4.0, max_value=-1e-4), st.floats(min_value=1e-4, max_value=4.0)),
 )
-def test_quadrature_matches_closed_form(alpha, lam):
+def test_hypergeometric_route_matches_closed_form(alpha, lam):
     assert pressure(PressureEval(alpha), lam) == pytest.approx(_CLOSED_FORMS[alpha](lam), abs=1e-9)
 
 
@@ -195,7 +195,7 @@ def test_method_scope_and_validation():
         PressureEval(math.inf)
 
 
-def test_quadrature_methods_agree_on_general_alpha():
+def test_hypergeometric_route_agrees_on_general_alpha():
     # no closed form at alpha = 1.5: check the ODE instead
     ev = PressureEval(1.5)
     for lam in (-3.0, -0.4, 0.9, 3.0):
