@@ -1,8 +1,9 @@
 """Path-space rate functional and optimal large-deviation trajectories.
 
 The rate of a path phi on [0,1] is the integral of the local cost
-L(alpha t, phi, phidot).  Its Legendre dual is the log-MGF of one
-increment, the Hamiltonian
+L(alpha t, phi, phidot), which `path_rate` takes in closed form on a
+piecewise-linear path (each log in L has a closed mean over a piece).
+Its Legendre dual is the log-MGF of one increment, the Hamiltonian
 
     H(t, phi, p) = log((1 - q) e^p + q),    q = phi/(alpha t),
 

@@ -358,7 +358,7 @@ def test_path_rate_matches_adaptive_quadrature_piece_by_piece():
 
 # I(phi) of the piecewise-linear path itself by mpmath at 30 digits, one
 # mp.quad per piece, with 0 log 0 = 0 (the (2, 0.02) path has pieces of
-# slope exactly 0 and 1)
+# slope exactly 0)
 _MPMATH_EULER_PATH_RATES = {
     (2.0, 0.13): 1.603729874661240780231069,
     (2.0, 0.02): 3.585172258513088274813341,
