@@ -15,11 +15,17 @@ consumer of the float and the exact slope path sees identical slopes.
 
 simulate steps one path in a scalar loop; every vectorized simulation of
 the chain (simulate_endpoints, the bud counts in trees) steps on _walk.
+Its uniforms, and the growers' in trees, come a block at a time through
+_ahead, which draws the next block on a worker thread while the caller
+steps through the current one: numpy releases the GIL while it fills an
+array, so the draws, most of a walk's time, overlap the stepping.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -49,9 +55,9 @@ DEFAULT_SEED = 20260819
 # and the chain draws never share randomness
 _STREAM_ENV = 101
 _STREAM_SIM = 202
-# uniforms per block of chain-walker steps (128 KiB); larger blocks run
-# no faster
-_SIM_BLOCK = 1 << 14
+# uniforms per block of chain-walker steps (1 MiB): few enough handoffs
+# to _ahead's worker that the overlap pays
+_SIM_BLOCK = 1 << 17
 
 # integers below this magnitude are exact doubles
 _EXACT_INT = 2**53
@@ -375,18 +381,39 @@ def simulate(model: ModelSpec, n: int, seed: int = DEFAULT_SEED) -> Trajectory:
     return Trajectory(model, vals, seed)
 
 
+def _ahead(draw, sizes):
+    """draw(size) for each size in order, as a generator: while the caller
+    works on one block a worker thread draws the next, so only one thread
+    ever calls `draw`.  One block starts no thread.  Close the generator
+    (contextlib.closing) to stop the worker when the caller leaves early."""
+    sizes = list(sizes)
+    if len(sizes) < 2:
+        yield from map(draw, sizes)
+        return
+    # a pool per call: a worker thread does not survive a fork
+    with ThreadPoolExecutor(1) as pool:
+        nxt = pool.submit(draw, sizes[0])
+        for size in sizes[1:]:
+            block = nxt.result()
+            nxt = pool.submit(draw, size)
+            yield block
+        yield nxt.result()
+
+
 def _walk(rng: np.random.Generator, k0: int, n: int, reps: int, slopes, record: bool = False) -> np.ndarray:
     """Z_n of the chain from Z_1 = k0 for `reps` replicates, or with
     `record` Z_1..Z_n, shape (reps, n).  Step j moves up when its uniform
     u < 1 - z/s_j (always when z = s_j = 0).  The uniforms come `rows`
-    steps at a time, the same stream as one rng.random(reps) per step, and
-    `slopes` is the list s_1..s_{n-1} every replicate shares, or a
-    function of `rows` yielding per-replicate blocks of shape (rows, reps)."""
+    steps at a time through _ahead, the same stream as one
+    rng.random(reps) per step, and `slopes` is the list s_1..s_{n-1} every
+    replicate shares, or a function of `rows` yielding per-replicate
+    blocks of shape (rows, reps)."""
     rows = max(1, _SIM_BLOCK // reps)
     if callable(slopes):
         blocks = slopes(rows)
     else:
         blocks = (slopes[i : i + rows] for i in range(0, n - 1, rows))
+    sizes = [(min(rows, n - 1 - i), reps) for i in range(0, n - 1, rows)]
     # the states as doubles, stepped in place: each count is an integer
     # below 2^53, so z / s is the same double an int64 state would give
     z = np.full(reps, float(k0))
@@ -398,26 +425,26 @@ def _walk(rng: np.random.Generator, k0: int, n: int, reps: int, slopes, record: 
     # is read again only when the bound reaches that slope
     top = k0
     first = 1
-    for block in blocks:
-        lows = block if isinstance(block, list) else block.min(axis=1).tolist()
-        u = rng.random((len(lows), reps))
-        for j, (u_j, s, low) in enumerate(zip(u, block, lows), first):
-            if top >= low:
-                top = int(z.max())
-            np.divide(z, s, out=p)
-            np.subtract(1.0, p, out=p)
-            if top >= low:
-                p[z == 0] = 1.0
-                worst = int(np.argmin(p))
-                if p[worst] < 0:
-                    bad = float(s if np.ndim(s) == 0 else s[worst])
-                    raise ValueError(f"state {int(z[worst])} exceeds slope {bad} at step {j}")
-            np.less(u_j, p, out=up)
-            z += up
-            top += 1
-            if record:
-                path[:, j] = z
-        first += len(lows)
+    with closing(_ahead(rng.random, sizes)) as draws:
+        for block, u in zip(blocks, draws):
+            lows = block if isinstance(block, list) else block.min(axis=1).tolist()
+            for j, (u_j, s, low) in enumerate(zip(u, block, lows), first):
+                if top >= low:
+                    top = int(z.max())
+                np.divide(z, s, out=p)
+                np.subtract(1.0, p, out=p)
+                if top >= low:
+                    p[z == 0] = 1.0
+                    worst = int(np.argmin(p))
+                    if p[worst] < 0:
+                        bad = float(s if np.ndim(s) == 0 else s[worst])
+                        raise ValueError(f"state {int(z[worst])} exceeds slope {bad} at step {j}")
+                np.less(u_j, p, out=up)
+                z += up
+                top += 1
+                if record:
+                    path[:, j] = z
+            first += len(lows)
     return path if record else z.astype(np.int64)
 
 

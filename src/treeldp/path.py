@@ -192,9 +192,15 @@ def _hamilton_rhs(tau: float, state, alpha: float):
 
 def _project_admissible(knots: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Snap integrator dust onto the admissible set (monotone, 1-Lipschitz,
-    phi <= t)."""
+    phi <= t).  Every knot is checked at once with the loop's own float
+    operations; the loop starts at the first knot that moves, since up to
+    there its output is `values` itself."""
     out = values.copy()
-    for i in range(1, len(out)):
+    prev = values[:-1]
+    snap = np.minimum(np.minimum(np.maximum(values[1:], prev), prev + np.diff(knots)), knots[1:])
+    moved = np.flatnonzero(snap != values[1:])
+    start = moved[0] + 1 if len(moved) else len(out)
+    for i in range(start, len(out)):
         dt = knots[i] - knots[i - 1]
         out[i] = min(max(out[i], out[i - 1]), out[i - 1] + dt, knots[i])
     return out

@@ -8,9 +8,11 @@ statistic at every size, which the distributional tests against the exact
 chain pmfs consume.  The leaf, cherry and plateau growers share one kernel:
 it draws the target of every step at once (a copy of an earlier step's
 target, or a uniform vertex or gap) for a block of replicates, and counts
-what no step has hit yet.  A copy repeats a vertex an earlier step hit, so
-the counts read only the direct draws; copies are followed only to rebuild
-a structure.  Each single run (grow_*) is its batch grower at reps = 1,
+what no step has hit yet.  While the caller counts one block, a worker
+thread draws the uniforms of the next (chain._ahead), from the same
+generator in the same order.  A copy repeats a vertex an earlier step hit,
+so the counts read only the direct draws; copies are followed only to
+rebuild a structure.  Each single run (grow_*) is its batch grower at reps = 1,
 with the structure rebuilt from the resolved targets on request.  Bud
 counts step on chain.py's walker instead, and the bud single run rebuilds
 its multigraph from the walker's recorded path.
@@ -19,6 +21,7 @@ its multigraph from the walker's recorded path.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
 
@@ -30,6 +33,7 @@ from .chain import (
     DEFAULT_SEED,
     ModelSpec,
     RandomizedPASlope,
+    _ahead,
     _walk,
     make_generator,
     simulate_endpoints,
@@ -102,7 +106,9 @@ def _targets(rng, reps: int, steps: int, copies: bool, v0: int, dv: int, weight:
              resolve: bool = False):
     """Targets of steps m = 1..steps for `reps` replicates, as pairs of a
     block of shape (rows, steps), at most _BLOCK draws, and the number of
-    vertices after the last step, nvert = v0 + dv*steps.
+    vertices after the last step, nvert = v0 + dv*steps.  The uniforms of
+    the next block are drawn on a worker thread while the caller works on
+    the current one (chain._ahead); a single block starts no thread.
 
     Copy unit r takes the target of step r + 1.  A vertex has one degree
     unit per earlier step that chose it, so copies plus `weight` per vertex
@@ -117,28 +123,29 @@ def _targets(rng, reps: int, steps: int, copies: bool, v0: int, dv: int, weight:
     total, cap = ncopy + nvert * weight, nvert - 1
     dummy = v0 + dv * steps  # one past the last vertex
     rows = max(1, _BLOCK // max(steps, 1))
-    for lo in range(0, reps, rows):
-        u = rng.random((min(rows, reps - lo), steps))
-        u *= total
-        if copies:
-            copy = u < ncopy
-            src = np.where(copy, u.astype(np.intp), m - 1) if resolve else None
-            u -= ncopy
-        if weight != 1.0:
-            u /= weight
-        vert = u.astype(np.intp)
-        np.minimum(vert, cap, out=vert)
-        if copies and resolve:
-            ptr = (src + steps * np.arange(len(src))[:, None]).ravel()
-            while True:
-                nxt = ptr[ptr]
-                if np.array_equal(nxt, ptr):
-                    break
-                ptr = nxt
-            vert = vert.ravel()[ptr].reshape(vert.shape)
-        elif copies:
-            np.maximum(vert, copy * dummy, out=vert)  # a copy has vert <= 0
-        yield vert, dummy
+    sizes = [(min(rows, reps - lo), steps) for lo in range(0, reps, rows)]
+    with closing(_ahead(rng.random, sizes)) as draws:
+        for u in draws:
+            u *= total
+            if copies:
+                copy = u < ncopy
+                src = np.where(copy, u.astype(np.intp), m - 1) if resolve else None
+                u -= ncopy
+            if weight != 1.0:
+                u /= weight
+            vert = u.astype(np.intp)
+            np.minimum(vert, cap, out=vert)
+            if copies and resolve:
+                ptr = (src + steps * np.arange(len(src))[:, None]).ravel()
+                while True:
+                    nxt = ptr[ptr]
+                    if np.array_equal(nxt, ptr):
+                        break
+                    ptr = nxt
+                vert = vert.ravel()[ptr].reshape(vert.shape)
+            elif copies:
+                np.maximum(vert, copy * dummy, out=vert)  # a copy has vert <= 0
+            yield vert, dummy
 
 
 def _flat(tgt: np.ndarray, width: int) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeldp import chain
+from treeldp import chain, trees
 from treeldp import (
     AffineSlope,
     LinearSlope,
@@ -17,6 +19,8 @@ from treeldp import (
     RandomizedPASlope,
     Trajectory,
     UniformRecursiveSlope,
+    batch_pa_leaves,
+    grow_yule,
     interpolate,
     make_generator,
     model_from_name,
@@ -205,7 +209,7 @@ def _simulate_endpoints_reference(model, n, reps, seed):
 )
 def test_simulate_endpoints_equals_the_per_step_walk(preset):
     m = model_from_name(preset)
-    # reps = 3000 takes five steps per block, reps = 1 the whole walk;
+    # reps = 3000 takes 43 steps per block, reps = 1 the whole walk;
     # n = 10000 with 2000 replicates is the benchmark's shape
     for n, reps, seed in ((1, 4, 0), (2, 5, 1), (300, 1, 2), (700, 3000, 3), (2000, 300, 4),
                           (10_000, 2000, 5)):
@@ -240,6 +244,58 @@ def test_walker_refuses_the_first_replicate_over_its_own_slope():
     assert a.shape == (2, 4) and a.dtype == np.int64
     assert np.array_equal(a, b)
     assert np.array_equal(a[:, :2], [[0, 1], [0, 1]])
+
+
+def test_ahead_makes_the_serial_draws():
+    sizes = [(3, 5), 7, (0, 4), (2, 2, 2), 1]
+    ahead, serial = make_generator(9), make_generator(9)
+    got = list(chain._ahead(ahead.random, sizes))
+    want = [serial.random(size) for size in sizes]
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # the generator is left where the serial draws leave it
+    after, want_after = ahead.bit_generator.state, serial.bit_generator.state
+    assert np.array_equal(after["state"]["counter"], want_after["state"]["counter"])
+    assert after["buffer_pos"] == want_after["buffer_pos"]
+    assert np.array_equal(ahead.random(6), serial.random(6))
+
+
+def test_ahead_starts_a_thread_only_for_two_blocks(monkeypatch):
+    pools = []
+
+    def counting_pool(workers):
+        pools.append(workers)
+        return ThreadPoolExecutor(workers)
+
+    monkeypatch.setattr(chain, "ThreadPoolExecutor", counting_pool)
+    rng = make_generator(1)
+    assert list(chain._ahead(rng.random, [])) == []
+    assert len(list(chain._ahead(rng.random, [4]))) == 1
+    # one block: a single run, a walk of few replicates, a small batch
+    simulate_endpoints(model_from_name("uniform"), 300, 1, 2)
+    simulate_endpoints(model_from_name("uniform"), 30, 4000, 2)
+    grow_yule(2000, 3, return_structure=True)
+    batch_pa_leaves(1.0, 40, 10, 3)
+    assert pools == []
+    # two or more blocks: one pool of one worker per call
+    assert len(list(chain._ahead(rng.random, [4, 4]))) == 2
+    simulate_endpoints(model_from_name("uniform"), 6, chain._SIM_BLOCK + 1, 2)
+    batch_pa_leaves(1.0, 40, trees._BLOCK, 3)
+    assert pools == [1, 1, 1]
+
+
+def test_a_walk_left_early_leaves_no_thread_behind():
+    baseline = threading.active_count()
+    draws = chain._ahead(make_generator(2).random, [4, 4, 4])
+    next(draws)
+    assert threading.active_count() == baseline + 1
+    draws.close()
+    assert threading.active_count() == baseline
+    # refused at step 2 of a walk that draws one step per block
+    m = model_from_name("linear:alpha=0.3,k0=0")
+    with pytest.raises(ValueError, match="state 1 exceeds slope 0.6 at step 2"):
+        simulate_endpoints(m, 6, 2 * chain._SIM_BLOCK)
+    assert threading.active_count() == baseline
 
 
 def test_endpoint_matches_trajectory_distribution():

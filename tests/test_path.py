@@ -251,6 +251,32 @@ def test_euler_integrates_once_per_call(monkeypatch):
     assert len(calls) == 5
 
 
+def _project_admissible_loop(knots, values):
+    """The projection as one Python step per knot."""
+    out = values.copy()
+    for i in range(1, len(out)):
+        dt = knots[i] - knots[i - 1]
+        out[i] = min(max(out[i], out[i - 1]), out[i - 1] + dt, knots[i])
+    return out
+
+
+def test_projection_equals_the_knot_loop(monkeypatch):
+    project, knots, raw = path_mod._project_admissible, path_mod._KNOTS, []
+    monkeypatch.setattr(path_mod, "_project_admissible", lambda k, v: raw.append(v.copy()) or project(k, v))
+    for alpha, x in [(2.0, 0.13), (2.0, 0.5), (2.0, 0.85), (1.5, 0.5), (3.0, 0.5), (2.0, 1e-8)]:
+        sol = euler_solve(alpha, x)
+        assert np.array_equal(sol.path.values, _project_admissible_loop(knots, raw[-1])), (alpha, x)
+    # a path on every edge of the admissible set (phi = t, flat, slope 1)
+    # with 1e-15 dust on every knot, or from knot 700 on
+    edges = np.minimum(knots, 0.2) + np.maximum(knots - 0.6, 0.0)
+    dust = edges + np.random.default_rng(4).choice([-1e-15, 0.0, 1e-15], len(knots))
+    dust[0] = 0.0
+    for values in (dust, np.where(np.arange(len(knots)) >= 700, dust, edges)):
+        want = _project_admissible_loop(knots, values)
+        assert not np.array_equal(want, values)
+        assert np.array_equal(project(knots, values), want)
+
+
 @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("offset", [1e-9, -1e-9, 1e-6, -1e-6])
 def test_euler_near_the_lln_target(alpha, offset):

@@ -577,8 +577,9 @@ def _bud_lln_reference(beta, gamma_pmf, n, reps, seed):
     return z
 
 
-# (n, reps): reps = 1 walks 16384 steps per block, reps >= _SIM_BLOCK one
-WALKER_SHAPES = ((1, 3), (2, 1), (20_000, 1), (40, _SIM_BLOCK), (7, _SIM_BLOCK + 5000), (2000, 1000))
+# (n, reps): reps = 1 walks _SIM_BLOCK steps per block, reps >= _SIM_BLOCK one
+WALKER_SHAPES = ((1, 3), (2, 1), (20_000, 1), (_SIM_BLOCK + 10, 1), (40, _SIM_BLOCK), (7, _SIM_BLOCK + 5000),
+                 (2000, 1000))
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.5])
