@@ -12,10 +12,10 @@ what no step has hit yet.  While the caller counts one block, a worker
 thread draws the uniforms of the next (chain._ahead), from the same
 generator in the same order.  A copy repeats a vertex an earlier step hit,
 so the counts read only the direct draws; copies are followed only to
-rebuild a structure.  Each single run (grow_*) is its batch grower at reps = 1,
-with the structure rebuilt from the resolved targets on request.  Bud
-counts step on chain.py's walker instead, and the bud single run rebuilds
-its multigraph from the walker's recorded path.
+rebuild a structure.  Each single run (grow_*) is its batch grower at
+reps = 1, with the structure rebuilt from the resolved targets on request.
+Bud counts step on chain.py's walker instead, and the bud single run
+rebuilds its multigraph from the walker's recorded path.
 """
 
 from __future__ import annotations
