@@ -28,7 +28,6 @@ from .dist import (
     pmf_advance,
     pmf_snapshots,
     pmf_start,
-    pressure_estimators,
     tail_log_prob,
 )
 from .pressure import (

@@ -2,9 +2,8 @@
 
 The chain moves up by one with probability 1 - Z_n/s_n and stays put
 otherwise, starting from Z_1 = k0.  Everything downstream (exact pmfs,
-pressure estimators, tree simulators) is driven by the slope sequence
-s_n, so slopes are kept exact (rational) whenever the defining
-parameters are rational.
+tails, tree simulators) is driven by the slope sequence s_n, so slopes
+are kept exact (rational) whenever the defining parameters are rational.
 
 Every deterministic model is one AffineSlope s_n = a n + b; the preset
 names (LinearSlope, PlaneOrientedSlope, ...) are constructors for it.
@@ -12,6 +11,13 @@ RandomizedPASlope adds the quenched multi-edge environment.  For
 rational parameters, values_float(N)[n-1] is the correctly rounded
 float(s_n), the same double the exact value(n) converts to, so every
 consumer of the float and the exact slope path sees identical slopes.
+
+The chain has a law only while every reachable state stays at or below
+its slope, 0 <= Z_n <= s_n.  _reachable decides that once per model and
+length, for simulate, simulate_endpoints and the pmf steps in dist alike,
+and hands them the slopes with s = 0 read as +inf, so 1 - z/s is the
+up-probability everywhere: a refusal does not depend on the seed or on
+the number of replicates.
 
 simulate steps one path in a scalar loop; every vectorized simulation of
 the chain (simulate_endpoints, the bud counts in trees) steps on _walk.
@@ -360,22 +366,37 @@ def model_from_name(name: str) -> ModelSpec:
     raise ValueError(f"unknown model preset {name!r}")
 
 
+def _reachable(k0: int, s: np.ndarray, first: int = 1) -> np.ndarray:
+    """The slopes s_first, s_first+1, ... of a chain whose highest
+    reachable state before step `first` is k0, with each 0 replaced by
+    +inf so that 1 - z/s is the up-probability of every reachable state z
+    (from z = s = 0 growth is certain).  Raises ValueError at the first
+    step whose highest reachable state exceeds its slope, where the chain
+    has no law.  That state moves up while it is below its slope (from 0
+    also at slope 0) and stays otherwise, so before step j it is
+    (j - 1) + min(k0 + 1 - first, min over i < j of (max(ceil(s_i), 1) - i))."""
+    j = np.arange(first, first + len(s))
+    room = np.maximum(np.ceil(s), 1.0) - j
+    top = j - 1 + np.minimum.accumulate(np.concatenate(([k0 + 1 - first], room[:-1])))
+    over = np.flatnonzero(top > s)
+    if over.size:
+        i = over[0]
+        raise ValueError(f"state {int(top[i])} exceeds slope {float(s[i])} at step {first + i}")
+    return np.where(s == 0, np.inf, s)
+
+
 def simulate(model: ModelSpec, n: int, seed: int = DEFAULT_SEED) -> Trajectory:
     """Full path Z_1..Z_n; deterministic given seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = make_generator(seed, _STREAM_SIM)
-    svals = model.slopes.values_float(max(n - 1, 1))
+    svals = _reachable(model.k0, model.slopes.values_float(max(n - 1, 1)))
     vals = np.empty(n, dtype=np.int64)
     z = model.k0
     vals[0] = z
     u = rng.random(n - 1) if n > 1 else np.empty(0)
     for j in range(1, n):
-        s = svals[j - 1]
-        p = 1.0 if z == 0 else 1.0 - z / s
-        if p < 0:
-            raise ValueError(f"state {z} exceeds slope {s} at step {j}")
-        if u[j - 1] < p:
+        if u[j - 1] < 1.0 - z / svals[j - 1]:
             z += 1
         vals[j] = z
     return Trajectory(model, vals, seed)
@@ -403,11 +424,13 @@ def _ahead(draw, sizes):
 def _walk(rng: np.random.Generator, k0: int, n: int, reps: int, slopes, record: bool = False) -> np.ndarray:
     """Z_n of the chain from Z_1 = k0 for `reps` replicates, or with
     `record` Z_1..Z_n, shape (reps, n).  Step j moves up when its uniform
-    u < 1 - z/s_j (always when z = s_j = 0).  The uniforms come `rows`
-    steps at a time through _ahead, the same stream as one
-    rng.random(reps) per step, and `slopes` is the list s_1..s_{n-1} every
-    replicate shares, or a function of `rows` yielding per-replicate
-    blocks of shape (rows, reps)."""
+    u < 1 - z/s_j.  The uniforms come `rows` steps at a time through
+    _ahead, the same stream as one rng.random(reps) per step, and `slopes`
+    is the list s_1..s_{n-1} every replicate shares, or a function of
+    `rows` yielding per-replicate blocks of shape (rows, reps).  No
+    reachable state may exceed its slope and no slope may be 0:
+    simulate_endpoints passes its slopes through _reachable, and the bud
+    slopes in trees grow faster than the states can."""
     rows = max(1, _SIM_BLOCK // reps)
     if callable(slopes):
         blocks = slopes(rows)
@@ -420,31 +443,15 @@ def _walk(rng: np.random.Generator, k0: int, n: int, reps: int, slopes, record: 
     p = np.empty(reps)
     up = np.empty(reps, dtype=bool)
     path = np.full((reps, n), k0, dtype=np.int64) if record else None
-    # a bound on max z: while it stays below the smallest s_j no state can
-    # exceed its slope and 1 - z/s_j is the law (z = 0 included), so max z
-    # is read again only when the bound reaches that slope
-    top = k0
-    first = 1
     with closing(_ahead(rng.random, sizes)) as draws:
-        for block, u in zip(blocks, draws):
-            lows = block if isinstance(block, list) else block.min(axis=1).tolist()
-            for j, (u_j, s, low) in enumerate(zip(u, block, lows), first):
-                if top >= low:
-                    top = int(z.max())
-                np.divide(z, s, out=p)
-                np.subtract(1.0, p, out=p)
-                if top >= low:
-                    p[z == 0] = 1.0
-                    worst = int(np.argmin(p))
-                    if p[worst] < 0:
-                        bad = float(s if np.ndim(s) == 0 else s[worst])
-                        raise ValueError(f"state {int(z[worst])} exceeds slope {bad} at step {j}")
-                np.less(u_j, p, out=up)
-                z += up
-                top += 1
-                if record:
-                    path[:, j] = z
-            first += len(lows)
+        steps = (step for block, u in zip(blocks, draws) for step in zip(u, block))
+        for j, (u_j, s) in enumerate(steps, 1):
+            np.divide(z, s, out=p)
+            np.subtract(1.0, p, out=p)
+            np.less(u_j, p, out=up)
+            z += up
+            if record:
+                path[:, j] = z
     return path if record else z.astype(np.int64)
 
 
@@ -454,7 +461,7 @@ def simulate_endpoints(
     """Z_n over `reps` independent replicates (vectorized)."""
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be >= 1")
-    svals = model.slopes.values_float(max(n - 1, 1)).tolist()
+    svals = _reachable(model.k0, model.slopes.values_float(max(n - 1, 1))).tolist()
     return _walk(make_generator(seed, _STREAM_SIM), model.k0, n, reps, svals)
 
 

@@ -1,6 +1,12 @@
 """Exact distribution of Z_n: log-space pmf recursion, the rational
-polynomial p_n(u) whose coefficients are the pmf, MGF-based pressure
-estimators, tail probabilities, and real-rootedness certification.
+polynomial p_n(u) whose coefficients are the pmf, log-mgfs, tail
+probabilities, and real-rootedness certification.
+
+The float pmf steps take their slopes from chain._reachable, which
+refuses a model with a reachable state above its slope and reads a zero
+slope as +inf.  exact_poly keeps its own integer check: the float one is
+exact only up to rounding, and exact_poly is the reference the others
+are tested against.
 
 The exact path is integer arithmetic throughout: `exact_poly` steps
 integer numerators over one common denominator and builds its Fractions
@@ -22,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import logsumexp
 
-from .chain import ModelSpec
+from .chain import ModelSpec, _reachable
 
 __all__ = [
     "Pmf",
@@ -34,8 +40,6 @@ __all__ = [
     "pmf",
     "log_mgf",
     "pmf_mean",
-    "pressure_estimators",
-    "EstimatorTriple",
     "exact_poly",
     "certify_real_rooted",
     "tail_log_prob",
@@ -94,29 +98,23 @@ def _states(k0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         return ka, np.log(ka)
 
 
-def _step(logp: np.ndarray, k0: int, s: float, ka: np.ndarray, logk: np.ndarray) -> np.ndarray:
+def _step(logp: np.ndarray, s: float, ka: np.ndarray, logk: np.ndarray) -> np.ndarray:
     """One step of P_{n+1}(k) = P_n(k) k/s_n + P_n(k-1) (1-(k-1)/s_n),
     carried out in log space; logp holds log P_n over k0..k0+n-1, and
-    ka, logk hold (at least) those states and their logs.  A reachable
-    state above s_n has no law: that raises ValueError."""
+    ka, logk hold (at least) those states and their logs.  s comes
+    through chain._reachable: no reachable state lies above it, and a
+    zero slope reads +inf, so the zero state moves up surely."""
     n = len(logp)
-    ka = ka[:n]
-    if ka[-1] > s:
-        over = np.flatnonzero((ka > s) & np.isfinite(logp))
-        if over.size:
-            raise ValueError(f"state {k0 + int(over[-1])} exceeds slope {s} at step {n}")
     new = np.empty(n + 1)
     stay = new[:n]
     np.subtract(logk[:n], math.log(s), out=stay)
     np.add(logp, stay, out=stay)
     new[n] = -np.inf
-    up = np.divide(ka, s)
+    up = np.divide(ka[:n], s)
     np.clip(up, 0.0, 1.0, out=up)
     np.negative(up, out=up)
     with np.errstate(divide="ignore"):
         np.log1p(up, out=up)  # -inf where k >= s_n
-    if k0 == 0:
-        up[0] = 0.0  # 0/0 = 0 convention: growth is certain from zero
     np.add(logp, up, out=up)
     np.logaddexp(new[1:], up, out=new[1:])
     return new
@@ -125,7 +123,11 @@ def _step(logp: np.ndarray, k0: int, s: float, ka: np.ndarray, logk: np.ndarray)
 def pmf_advance(p: Pmf, model: ModelSpec) -> Pmf:
     """The pmf of Z_{n+1} from that of Z_n."""
     s = float(model.slopes.value(p.n))
-    return Pmf(p.n + 1, p.k0, _step(p.logp, p.k0, s, *_states(p.k0, p.n)))
+    if p.k0 + p.n - 1 > s or s == 0:
+        # otherwise every state is at or below s > 0: the check would pass s as it is
+        top = p.k0 + int(np.flatnonzero(np.isfinite(p.logp))[-1])
+        s = float(_reachable(top, np.array([s]), p.n)[0])
+    return Pmf(p.n + 1, p.k0, _step(p.logp, s, *_states(p.k0, p.n)))
 
 
 def pmf_snapshots(model: ModelSpec, ns) -> dict[int, Pmf]:
@@ -135,13 +137,13 @@ def pmf_snapshots(model: ModelSpec, ns) -> dict[int, Pmf]:
     if not wanted or min(wanted) < 1:
         raise ValueError("n must be >= 1")
     n_max = max(wanted)
-    svals = model.slopes.values_float(max(n_max - 1, 1))
+    svals = _reachable(model.k0, model.slopes.values_float(max(n_max - 1, 1)))
     ka, logk = _states(model.k0, n_max)
     p = pmf_start(model)
     logp = p.logp
     out = {1: p} if 1 in wanted else {}
     for m in range(1, n_max):
-        logp = _step(logp, model.k0, svals[m - 1], ka, logk)
+        logp = _step(logp, svals[m - 1], ka, logk)
         if m + 1 in wanted:
             out[m + 1] = Pmf(m + 1, model.k0, logp)
     return out
@@ -160,30 +162,6 @@ def log_mgf(p: Pmf, lam: float) -> float:
 def pmf_mean(p: Pmf) -> float:
     w = p.probs()
     return float(np.dot(w, p.support))
-
-
-@dataclass(frozen=True)
-class EstimatorTriple:
-    per_n: float
-    ratio: float
-    logderiv: float
-
-
-def pressure_estimators(model: ModelSpec, n: int, lam: float) -> EstimatorTriple:
-    """Three finite-n estimators of the pressure and its derivative:
-    per_n = (1/n) log m_n, ratio = log m_{n+1} - log m_n, and
-    logderiv = m_n'/(n m_n) as a Boltzmann-weighted mean of Z_n."""
-    if n < 2:
-        raise ValueError("estimators need n >= 2")
-    snaps = pmf_snapshots(model, (n, n + 1))
-    p_n, p_next = snaps[n], snaps[n + 1]
-    lm_n = log_mgf(p_n, lam)
-    lm_next = log_mgf(p_next, lam)
-    shifted = p_n.logp + p_n.support * lam
-    shifted -= logsumexp(shifted)
-    weights = np.exp(shifted)
-    logderiv = float(np.dot(weights, p_n.support)) / n
-    return EstimatorTriple(per_n=lm_n / n, ratio=lm_next - lm_n, logderiv=logderiv)
 
 
 def tail_log_prob(p: Pmf, x: float) -> float:
@@ -210,15 +188,15 @@ def tail_log_prob(p: Pmf, x: float) -> float:
     return -float(val) / n
 
 
-def exact_poly(model: ModelSpec, n: int, n_exact: int = N_EXACT_DEFAULT) -> ExactPoly:
+def exact_poly(model: ModelSpec, n: int) -> ExactPoly:
     """Exact rational coefficients of p_n(u) via
     p_{n+1} = u(1-u) p_n'/s_n + u p_n; requires rational slopes and
     raises ValueError on a reachable state above s_n.  The recursion runs
     on integer numerators over one common denominator."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > n_exact:
-        raise ValueError(f"n={n} exceeds the exact-arithmetic cap {n_exact}")
+    if n > N_EXACT_DEFAULT:
+        raise ValueError(f"n={n} exceeds the exact-arithmetic cap {N_EXACT_DEFAULT}")
     if not model.slopes.is_rational:
         raise ValueError("exact_poly needs rational slope values")
     k0 = model.k0
@@ -233,9 +211,11 @@ def exact_poly(model: ModelSpec, n: int, n_exact: int = N_EXACT_DEFAULT) -> Exac
             over = [k for k, c in enumerate(num) if c and k * q > p]
             if over:
                 raise ValueError(f"state {over[-1]} exceeds slope {s} at step {m}")
+        if p == 0:
+            num = [0] + num  # all mass is at Z = s = 0, which moves up surely
+            continue
         cur = num + [0]
-        # with s = p/q: P_{n+1}(k) = [P_n(k) k q + P_n(k-1) (p - (k-1) q)] / p; the
-        # k=1 up-term covers the zero state, realizing the 0/0 = 0 convention
+        # with s = p/q: P_{n+1}(k) = [P_n(k) k q + P_n(k-1) (p - (k-1) q)] / p
         num = [0] + [cur[k] * k * q + cur[k - 1] * (p - (k - 1) * q) for k in range(1, len(cur))]
         den *= p
     return ExactPoly(n, k0, tuple(Fraction(c, den) for c in num))

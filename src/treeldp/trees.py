@@ -450,24 +450,26 @@ def bud_lln_endpoints(
     own slopes, drawn a block of steps at a time."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if beta <= -1:
-        raise ValueError("randomized_pa needs beta > -1")
-    gv, gp = _coerce_pmf(gamma_pmf)
-    gv_arr = np.array(gv)
-    cum_p = np.cumsum(np.asarray(gp, dtype=float))
+    # validates beta and the gamma pmf as batch_pa_buds does
+    env = RandomizedPASlope(beta, *_coerce_pmf(gamma_pmf), seed)
+    b = float(env.beta)
+    gv_arr = np.array(env.gamma_values)
+    cum_p = np.cumsum(env.gamma_probs)
     cum_p /= cum_p[-1]
     env_rng = make_generator(seed, _STREAM_TREES, 10)
 
     def slopes(rows):
         # one gamma per replicate and step; s_m reads the gammas of the
-        # steps before m, an exclusive prefix sum carried across blocks
+        # steps before m, an exclusive prefix sum carried across blocks.
+        # With every gamma >= 1, s_1 = dG1 = k0 and each step adds more
+        # than 1 to s_m, so no state can pass its slope
         cum_gamma = np.zeros(reps, dtype=np.int64)
         for first in range(1, n, rows):
             m = np.arange(first, min(first + rows, n))[:, None]
             g = gv_arr[np.searchsorted(cum_p, env_rng.random((len(m), reps)))]
             before = np.cumsum(g, axis=0) - g + cum_gamma
             cum_gamma = before[-1] + g[-1]
-            yield (2 + 2.0 * before + (m + 1) * beta) / (1.0 + beta)  # dG1 = vG1 = 2
+            yield (env.dG1 + 2.0 * before + (m - 1 + env.vG1) * b) / (1.0 + b)
 
     return _walk(make_generator(seed, _STREAM_TREES, 11), 2, n, reps, slopes)
 

@@ -3,15 +3,17 @@
 import dataclasses
 import math
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeldp import chain, trees
+from treeldp import chain, dist, trees
 from treeldp import (
     AffineSlope,
     LinearSlope,
@@ -229,14 +231,79 @@ def test_simulate_endpoints_refuses_as_the_per_step_walk_does():
         assert str(got.value) == str(want.value)
 
 
-def test_walker_refuses_the_first_replicate_over_its_own_slope():
-    # per-replicate slopes: replicate 1's s_2 = 0.5 is below its forced Z_2 = 1
-    def slopes(rows):
-        yield np.array([[1.0, 1.0], [2.0, 0.5], [3.0, 3.0]])
+def _refusal(run):
+    """The message of the ValueError run() raises, or None if it answers."""
+    try:
+        run()
+    except ValueError as exc:
+        return str(exc)
+    return None
 
-    rng = make_generator(0)
-    with pytest.raises(ValueError, match="state 1 exceeds slope 0.5 at step 2"):
-        chain._walk(rng, 0, 4, 2, slopes)
+
+def _advanced(model, n):
+    p = dist.pmf_start(model)
+    for _ in range(1, n):
+        p = dist.pmf_advance(p, model)
+    return p
+
+
+def _first_overflow(model, n):
+    """(state, exact slope, step) where the highest reachable state first
+    exceeds its slope within steps 1..n-1, or None: that state moves up
+    while it is below its slope (or at slope 0) and stays otherwise."""
+    top = model.k0
+    for j in range(1, n):
+        s = model.slopes.value(j)
+        if top > s:
+            return top, s, j
+        top += top < s or s == 0
+    return None
+
+
+def test_every_stepper_refuses_the_same_models():
+    # a reachable state above its slope leaves the chain without a law:
+    # every stepper refuses such a model at the same step, whatever the
+    # seed and the number of replicates, and answers every other one
+    refused = answered = 0
+    for alpha in sorted({Fraction(p, q) for q in range(1, 13) for p in range(1, 2 * q + 1)}):
+        for k0 in range(min(3, math.floor(alpha)) + 1):
+            m = ModelSpec(LinearSlope(alpha), k0)
+            for n in (2, 5, 17, 40):
+                over = _first_overflow(m, n)
+                runs = [partial(dist.pmf, m, n), partial(_advanced, m, n),
+                        partial(simulate_endpoints, m, n, 1, 3), partial(simulate_endpoints, m, n, 300, 4)]
+                runs += [partial(simulate, m, n, seed) for seed in range(3)]
+                want = exact = None
+                if over:
+                    state, slope, step = over
+                    want = f"state {state} exceeds slope {float(slope)} at step {step}"
+                    exact = f"state {state} exceeds slope {slope} at step {step}"
+                    refused += 1
+                else:
+                    answered += 1
+                assert [_refusal(run) for run in runs] == [want] * len(runs), (alpha, k0, n)
+                assert _refusal(partial(dist.exact_poly, m, n)) == exact, (alpha, k0, n)
+    assert refused >= 50 and answered >= 50
+
+
+def test_a_zero_first_slope_is_a_certain_step_up():
+    # s_n = n - 1: from Z_1 = s_1 = 0 the chain moves up surely
+    m = ModelSpec(AffineSlope(1, -1, "n-1"), 0)
+    n = 12
+    exact = [float(c) for c in dist.exact_poly(m, n).coeffs]
+    assert exact[0] == 0.0 and sum(exact) == pytest.approx(1.0, abs=1e-15)
+    for p in (dist.pmf(m, n), _advanced(m, n)):
+        assert np.max(np.abs(p.probs() - exact)) <= 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        walked = simulate_endpoints(m, n, 20_000, seed=1)
+        paths = np.array([simulate(m, n, seed).values for seed in range(2000)])
+    assert np.all(paths[:, 1] == 1)
+    assert trees.tv_against_chain(walked.reshape(-1, 1), m, [n])[0] <= 0.02
+    assert trees.tv_against_chain(paths[:, [2, n - 1]], m, [3, n]).max() <= 0.05
+
+
+def test_walker_steps_shared_and_per_replicate_slopes_alike():
     # the same slopes shared by both replicates step as the list of them
     a = chain._walk(make_generator(1), 0, 4, 2, [1.0, 2.0, 3.0], record=True)
     shared = np.repeat([[1.0], [2.0], [3.0]], 2, axis=1)
@@ -291,10 +358,13 @@ def test_a_walk_left_early_leaves_no_thread_behind():
     assert threading.active_count() == baseline + 1
     draws.close()
     assert threading.active_count() == baseline
-    # refused at step 2 of a walk that draws one step per block
-    m = model_from_name("linear:alpha=0.3,k0=0")
-    with pytest.raises(ValueError, match="state 1 exceeds slope 0.6 at step 2"):
-        simulate_endpoints(m, 6, 2 * chain._SIM_BLOCK)
+    # a walk that draws one step per block, left at step 2 by its slopes
+    def slopes(rows):
+        yield np.ones((rows, 2 * chain._SIM_BLOCK))
+        raise RuntimeError("slopes failed")
+
+    with pytest.raises(RuntimeError, match="slopes failed"):
+        chain._walk(make_generator(3), 1, 6, 2 * chain._SIM_BLOCK, slopes)
     assert threading.active_count() == baseline
 
 

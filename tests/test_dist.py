@@ -1,5 +1,5 @@
-"""Distribution module: pmf recursion, mgf estimators, tails, exact
-polynomials, and real-rootedness certificates."""
+"""Distribution module: pmf recursion, mgfs, tails, exact polynomials,
+and real-rootedness certificates."""
 
 import math
 from fractions import Fraction
@@ -23,10 +23,7 @@ from treeldp import (
     pmf_advance,
     pmf_snapshots,
     pmf_start,
-    pressure,
-    pressure_estimators,
     tail_log_prob,
-    PressureEval,
 )
 
 PRESETS = ["uniform", "plane_oriented", "yule", "pa:beta=0", "linear:alpha=3,k0=1"]
@@ -147,32 +144,6 @@ def test_log_mgf_two_atom_oracle():
     p = pmf(model_from_name("uniform"), 3)
     assert log_mgf(p, 1.0) == pytest.approx(math.log((math.e + math.e**2) / 2), abs=1e-12)
     assert log_mgf(p, 0.0) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_estimators_at_lambda_zero():
-    m = model_from_name("plane_oriented")
-    est = pressure_estimators(m, 50, 0.0)
-    assert est.per_n == pytest.approx(0.0, abs=1e-14)
-    assert est.ratio == pytest.approx(0.0, abs=1e-14)
-    mean = 1.0
-    for j in range(1, 50):
-        mean = 1.0 + mean * (1.0 - 1.0 / (2 * j - 1))
-    assert est.logderiv == pytest.approx(mean / 50, abs=1e-12)
-
-
-def test_estimators_converge_to_constants():
-    m = model_from_name("plane_oriented")
-    est = pressure_estimators(m, 4000, 0.0)
-    assert abs(est.logderiv - 2 / 3) <= 5e-3
-    est1 = pressure_estimators(m, 4000, 1.0)
-    lam1 = pressure(PressureEval(2.0), 1.0)
-    assert abs(est1.ratio - lam1) <= 1e-3
-
-
-def test_logderiv_monotone_in_lambda():
-    m = model_from_name("plane_oriented")
-    vals = [pressure_estimators(m, 200, lam).logderiv for lam in (-1.0, 0.0, 1.0)]
-    assert vals[0] < vals[1] < vals[2]
 
 
 def test_tail_top_atom():

@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from treeldp import trees
+from treeldp import chain, trees
 from treeldp import (
     DEFAULT_SEED,
     ModelSpec,
@@ -25,7 +25,7 @@ from treeldp import (
     tv_against_chain,
     verify_clt,
 )
-from treeldp.chain import _SIM_BLOCK, make_generator
+from treeldp.chain import make_generator
 from treeldp.trees import _BLOCK, _STREAM_TREES, _ks_normal
 
 GAMMA_HALF = {1: 0.5, 2: 0.5}
@@ -90,6 +90,13 @@ def test_grower_validation():
     for beta in (-1.0, -1.5, -2.0):
         with pytest.raises(ValueError, match="beta > -1"):
             bud_lln_endpoints(beta, {1: 0.5, 2: 0.5}, 50, 4, 1)
+    # as batch_pa_buds: every gamma is at least 1, and the weights are
+    # nonnegative with positive mass
+    for gamma, msg in (({0: 1.0}, "positive integers"), ({1: -0.5, 2: 1.5}, "nonnegative weights"),
+                       ({1: 0, 2: 0}, "nonnegative weights"), ({-1: 1.0}, "positive integers")):
+        for run in (bud_lln_endpoints, batch_pa_buds):
+            with pytest.raises(ValueError, match=msg):
+                run(0.0, gamma, 50, 4, 1)
 
 
 # ------------------------------------------------------- structure recounts
@@ -577,11 +584,21 @@ def _bud_lln_reference(beta, gamma_pmf, n, reps, seed):
     return z
 
 
-# (n, reps): reps = 1 walks _SIM_BLOCK steps per block, reps >= _SIM_BLOCK one
-WALKER_SHAPES = ((1, 3), (2, 1), (20_000, 1), (_SIM_BLOCK + 10, 1), (40, _SIM_BLOCK), (7, _SIM_BLOCK + 5000),
-                 (2000, 1000))
+# the walker's block shrunk so that every shape below costs little:
+# (n, reps): reps = 1 walks _SMALL_BLOCK steps per block (one block, then
+# two), reps >= _SMALL_BLOCK one step per block, and reps = 30 34 steps
+# per block with a ragged last block
+_SMALL_BLOCK = 1 << 10
+WALKER_SHAPES = ((1, 3), (2, 1), (200, 1), (_SMALL_BLOCK + 10, 1), (40, _SMALL_BLOCK),
+                 (7, _SMALL_BLOCK + 50), (200, 30))
 
 
+@pytest.fixture
+def small_block(monkeypatch):
+    monkeypatch.setattr(chain, "_SIM_BLOCK", _SMALL_BLOCK)
+
+
+@pytest.mark.usefixtures("small_block")
 @pytest.mark.parametrize("beta", [0.0, 1.5])
 def test_bud_batch_equals_the_per_step_walk(beta):
     for seed, (n, reps) in enumerate(WALKER_SHAPES):
@@ -593,6 +610,7 @@ def test_bud_batch_equals_the_per_step_walk(beta):
                 assert np.array_equal(got, want), (n, reps, seed, record_all)
 
 
+@pytest.mark.usefixtures("small_block")
 @pytest.mark.parametrize("beta", [0.0, 0.5])
 def test_bud_lln_equals_the_per_step_walk(beta):
     for seed, (n, reps) in enumerate(WALKER_SHAPES):
