@@ -376,8 +376,11 @@ def _reachable(k0: int, s: np.ndarray, first: int = 1) -> np.ndarray:
     also at slope 0) and stays otherwise, so before step j it is
     (j - 1) + min(k0 + 1 - first, min over i < j of (max(ceil(s_i), 1) - i))."""
     j = np.arange(first, first + len(s))
-    room = np.maximum(np.ceil(s), 1.0) - j
-    top = j - 1 + np.minimum.accumulate(np.concatenate(([k0 + 1 - first], room[:-1])))
+    room = np.maximum(np.ceil(s), 1.0)
+    room -= j
+    top = np.concatenate(([k0 + 1 - first], room[:-1]))
+    np.minimum.accumulate(top, out=top)
+    top += j - 1
     over = np.flatnonzero(top > s)
     if over.size:
         i = over[0]

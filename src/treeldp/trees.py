@@ -34,6 +34,7 @@ from .chain import (
     ModelSpec,
     RandomizedPASlope,
     _ahead,
+    _reachable,
     _walk,
     make_generator,
     simulate_endpoints,
@@ -491,7 +492,7 @@ def verify_clt(model: ModelSpec, n: int, reps: int, seed: int = DEFAULT_SEED) ->
     """Simulate Z_n and report CLT statistics: samples (Z_n - E Z_n)/sqrt(n),
     their variance, and the KS distance to N(0, sigma^2(alpha))."""
     z = simulate_endpoints(model, n, reps, seed)
-    svals = model.slopes.values_float(max(n - 1, 1))
+    svals = _reachable(model.k0, model.slopes.values_float(max(n - 1, 1)))
     mean = float(model.k0)
     for m in range(1, n):
         mean = 1.0 + mean * (1.0 - 1.0 / svals[m - 1])

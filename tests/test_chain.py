@@ -301,6 +301,12 @@ def test_a_zero_first_slope_is_a_certain_step_up():
     assert np.all(paths[:, 1] == 1)
     assert trees.tv_against_chain(walked.reshape(-1, 1), m, [n])[0] <= 0.02
     assert trees.tv_against_chain(paths[:, [2, n - 1]], m, [3, n]).max() <= 0.05
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clt = trees.verify_clt(m, n, 2000, seed=2)
+    # the E Z_n that verify_clt subtracts takes the same certain first step
+    mean = simulate_endpoints(m, n, 2000, seed=2) - clt.clt_stat_sample * math.sqrt(n)
+    assert np.allclose(mean, np.dot(exact, np.arange(n)), rtol=1e-12, atol=0)
 
 
 def test_walker_steps_shared_and_per_replicate_slopes_alike():
