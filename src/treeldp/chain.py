@@ -375,17 +375,24 @@ def _reachable(k0: int, s: np.ndarray, first: int = 1) -> np.ndarray:
     has no law.  That state moves up while it is below its slope (from 0
     also at slope 0) and stays otherwise, so before step j it is
     (j - 1) + min(k0 + 1 - first, min over i < j of (max(ceil(s_i), 1) - i))."""
+    # one buffer, stepped in place, holds the room of the step before each
+    # step, then its prefix minimum, the highest state and the slopes returned
     j = np.arange(first, first + len(s))
-    room = np.maximum(np.ceil(s), 1.0)
-    room -= j
-    top = np.concatenate(([k0 + 1 - first], room[:-1]))
+    top = np.empty(len(s))
+    top[0] = k0 + 1 - first
+    np.ceil(s[:-1], out=top[1:])
+    np.maximum(top[1:], 1.0, out=top[1:])
+    top[1:] -= j[:-1]
     np.minimum.accumulate(top, out=top)
-    top += j - 1
+    top += j
+    top -= 1
     over = np.flatnonzero(top > s)
     if over.size:
         i = over[0]
         raise ValueError(f"state {int(top[i])} exceeds slope {float(s[i])} at step {first + i}")
-    return np.where(s == 0, np.inf, s)
+    np.copyto(top, s)
+    top[top == 0] = np.inf
+    return top
 
 
 def simulate(model: ModelSpec, n: int, seed: int = DEFAULT_SEED) -> Trajectory:

@@ -2,11 +2,9 @@
 polynomial p_n(u) whose coefficients are the pmf, log-mgfs, tail
 probabilities, and real-rootedness certification.
 
-The float pmf steps take their slopes from chain._reachable, which
-refuses a model with a reachable state above its slope and reads a zero
-slope as +inf.  exact_poly keeps its own integer check: the float one is
-exact only up to rounding, and exact_poly is the reference the others
-are tested against.
+The float pmf steps take their slopes from chain._reachable; exact_poly,
+the reference, keeps its own integer check, as the float one is exact
+only up to rounding.
 
 The exact path is integer arithmetic throughout: `exact_poly` steps
 integer numerators over one common denominator and builds its Fractions
