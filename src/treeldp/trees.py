@@ -8,14 +8,17 @@ statistic at every size, which the distributional tests against the exact
 chain pmfs consume.  The leaf, cherry and plateau growers share one kernel:
 it draws the target of every step at once (a copy of an earlier step's
 target, or a uniform vertex or gap) for a block of replicates, and counts
-what no step has hit yet.  While the caller counts one block, a worker
-thread draws the uniforms of the next (chain._ahead), from the same
-generator in the same order.  A copy repeats a vertex an earlier step hit,
-so the counts read only the direct draws; copies are followed only to
-rebuild a structure.  Each single run (grow_*) is its batch grower at
-reps = 1, with the structure rebuilt from the resolved targets on request.
+what no step has hit yet (for cherries, the pairs whose leaves no later
+step splits, from one reverse scan over the steps) straight into the rows
+of the output.  While the caller counts one block, a worker thread draws
+the uniforms of the next (chain._ahead), from the same generator in the
+same order.  A copy repeats a vertex an earlier step hit, so the counts
+read only the direct draws; copies are followed only to rebuild a
+structure.  Each single run (grow_*) is its batch grower at reps = 1, with
+the structure rebuilt from the resolved targets on request.
 Bud counts step on chain.py's walker instead, and the bud single run
-rebuilds its multigraph from the walker's recorded path.
+rebuilds its multigraph from the walker's recorded path.  The TV harness
+bins every column of a record_all output into one histogram.
 """
 
 from __future__ import annotations
@@ -165,54 +168,63 @@ def _per_target(ufunc, tgt: np.ndarray, width: int, empty: int):
     return red.reshape(rows, width), red[key].reshape(rows, steps)
 
 
-def _unhit(
-    tgt: np.ndarray, nvert: int, record_all: bool, base: int, odd: bool = False
-) -> np.ndarray:
-    """The vertices 0..nvert - 1 (odd gaps when `odd`) no step has hit yet:
-    `base` at the start, one more per step, one fewer per first hit.  A
-    copy (the dummy nvert) is never a first hit."""
+def _unhit(tgt: np.ndarray, nvert: int, out: np.ndarray, base: int, odd: bool = False) -> None:
+    """The vertices 0..nvert - 1 (odd gaps when `odd`) no step has hit yet,
+    written into `out`: shape (rows,) after the last step, or (rows,
+    steps + 1) after every step.  `base` at the start, one more per step,
+    one fewer per first hit; a copy (the dummy nvert) is never a first hit."""
     rows, steps = tgt.shape
-    if not record_all:
+    if out.ndim == 1:
         seen = np.zeros((rows, nvert + 1), dtype=bool)
         seen.ravel()[_flat(tgt, nvert + 1)] = True
         real = seen[:, 1:nvert:2] if odd else seen[:, :nvert]
-        return base + steps - np.count_nonzero(real, axis=1)
+        out[:] = base + steps - np.count_nonzero(real, axis=1)
+        return
     m = np.arange(1, steps + 1)
     fresh = (_per_target(np.minimum, tgt, nvert + 1, steps + 1)[1] == m) & (tgt < nvert)
     if odd:
         fresh &= tgt % 2 == 1
-    out = np.empty((rows, steps + 1), dtype=np.int64)
     out[:, 0] = base
-    out[:, 1:] = base + m - np.cumsum(fresh, axis=1)
-    return out
+    np.cumsum(fresh, axis=1, out=out[:, 1:])
+    np.subtract(base + m, out[:, 1:], out=out[:, 1:])
 
 
-def _cherries(tgt: np.ndarray, nvert: int, record_all: bool) -> np.ndarray:
-    """Yule cherries from the leaf slot each step splits: step m turns slot
-    tgt[m] into the pair (tgt[m], m), a cherry until either is split again,
-    i.e. until min(next sibling of m, first child of m).  The slots are
-    0..nvert, so at the end the cherries are the steps m that split their
-    slot last and whose own slot m no step split."""
+def _cherries(tgt: np.ndarray, nvert: int, out: np.ndarray) -> None:
+    """Yule cherries from the leaf slot each step splits, written into `out`
+    as `_unhit` writes.  Step m turns slot tgt[m] into the pair (tgt[m], m),
+    a cherry until either is split again, i.e. until min(next sibling of m,
+    first child of m).  The slots are 0..nvert, so at the end the cherries
+    are the steps m that split their slot last and whose own slot m no step
+    split."""
     rows, steps = tgt.shape
-    m = np.arange(1, steps + 1)
-    if not record_all:
+    if out.ndim == 1:
         # int32 halves the memory the scatter and the gather touch
+        m = np.arange(1, steps + 1, dtype=np.int32)
         last = np.zeros((rows, nvert + 1), dtype=np.int32)  # 0: never split
         key = _flat(tgt, nvert + 1)
-        np.maximum.at(last.ravel(), key, np.tile(m.astype(np.int32), rows))
+        np.maximum.at(last.ravel(), key, np.tile(m, rows))
         is_last = last.ravel()[key].reshape(rows, steps) == m
-        return np.count_nonzero(is_last & (last[:, 1:] == 0), axis=1)
-    child = _per_target(np.minimum, tgt, nvert + 1, steps + 1)[0][:, 1:]  # first split of slot m
-    order = np.argsort(tgt, axis=1, kind="stable")
-    srt = np.take_along_axis(tgt, order, axis=1)
-    sibling = np.full((rows, steps), steps + 1)
-    nxt = np.where(srt[:, 1:] == srt[:, :-1], order[:, 1:] + 1, steps + 1)
-    np.put_along_axis(sibling, order[:, :-1], nxt, axis=1)
-    death = np.minimum(sibling, child) + (steps + 2) * np.arange(rows)[:, None]
-    deaths = np.bincount(death.ravel(), minlength=rows * (steps + 2)).reshape(rows, steps + 2)
-    out = np.zeros((rows, steps + 1), dtype=np.int64)
-    out[:, 1:] = m - np.cumsum(deaths[:, 1 : steps + 1], axis=1)
-    return out
+        out[:] = np.count_nonzero(is_last & (last[:, 1:] == 0), axis=1)
+        return
+    # One reverse scan over the steps, each a contiguous gather and scatter
+    # of one key per row: nxt[slot] is the next step to split that slot,
+    # which is step m's sibling when m splits it, and after the scan each
+    # slot's first split, its child.  steps + 1 means never.
+    keys = np.multiply(tgt.T, rows, order="C")  # step m's keys in one run
+    keys += np.arange(rows)
+    nxt = np.full((nvert + 1) * rows, steps + 1, dtype=np.min_scalar_type(steps + 1))
+    death = np.empty((steps, rows), dtype=nxt.dtype)
+    for m in range(steps, 0, -1):
+        key = keys[m - 1]
+        death[m - 1] = nxt[key]
+        nxt[key] = m
+    np.minimum(death, nxt[rows:].reshape(steps, rows), out=death)
+    # a step splits one leaf, so it ends at most one cherry
+    dead = np.zeros((rows, steps + 2), dtype=bool)
+    dead[np.arange(rows), death] = True
+    out[:, 0] = 0
+    np.cumsum(dead[:, 1 : steps + 1], axis=1, out=out[:, 1:])
+    np.subtract(np.arange(1, steps + 1), out[:, 1:], out=out[:, 1:])
 
 
 # A grower is (sub-stream, law, count).  Its batch runs draw blocks of
@@ -246,7 +258,7 @@ def _grow_batch(grower: tuple, seed: int, n: int, reps: int, record_all: bool) -
     out = np.empty((reps, n) if record_all else reps, dtype=np.int64)
     lo = 0
     for tgt, nvert in _targets(rng, reps, n - 1, *law):
-        out[lo : lo + len(tgt)] = count(tgt, nvert, record_all)
+        count(tgt, nvert, out[lo : lo + len(tgt)])
         lo += len(tgt)
     return out
 
@@ -261,7 +273,9 @@ def _grow_one(
     stream, law, count = grower
     rng = make_generator(seed, _STREAM_TREES, stream)
     tgt, nvert = next(_targets(rng, 1, n - 1, *law, resolve=structure))
-    return tgt[0], GrowthResult(model, n, int(count(tgt, nvert, False)[0]), seed)
+    stat = np.empty(1, dtype=np.int64)
+    count(tgt, nvert, stat)
+    return tgt[0], GrowthResult(model, n, int(stat[0]), seed)
 
 
 # ------------------------------------------------------------- single runs
@@ -467,7 +481,13 @@ def bud_lln_endpoints(
         cum_gamma = np.zeros(reps, dtype=np.int64)
         for first in range(1, n, rows):
             m = np.arange(first, min(first + rows, n))[:, None]
-            g = gv_arr[np.searchsorted(cum_p, env_rng.random((len(m), reps)))]
+            u = env_rng.random((len(m), reps))
+            # searchsorted(cum_p, u): the weights below u, counted one
+            # comparison at a time (u < 1 = cum_p[-1])
+            idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(cum_p)))
+            for c in cum_p[:-1]:
+                idx += u > c
+            g = gv_arr[idx]
             before = np.cumsum(g, axis=0) - g + cum_gamma
             cum_gamma = before[-1] + g[-1]
             yield (env.dG1 + 2.0 * before + (m - 1 + env.vG1) * b) / (1.0 + b)
@@ -513,18 +533,37 @@ def verify_clt(model: ModelSpec, n: int, reps: int, seed: int = DEFAULT_SEED) ->
 
 def tv_against_chain(stats: np.ndarray, model: ModelSpec, steps) -> np.ndarray:
     """Total-variation distance between empirical statistic columns and
-    the chain's exact pmf.  stats has shape (reps, len(steps)); steps[i]
-    is the chain index n the i-th column corresponds to."""
+    the chain's exact pmf.  stats has shape (reps, len(steps)), reps >= 1;
+    steps[i] is the chain index n the i-th column corresponds to.
+
+    One histogram holds every column: its support, then one overflow bin
+    for the values outside it, filled a block of at most _BLOCK values at
+    a time."""
     steps = list(steps)
+    stats = np.asarray(stats)
+    if stats.ndim != 2 or stats.shape[1] != len(steps) or stats.shape[0] == 0:
+        raise ValueError(
+            f"stats must have shape (reps, {len(steps)}) with reps >= 1, one column per step; "
+            f"got shape {stats.shape}"
+        )
     reps = stats.shape[0]
-    out = np.empty(len(steps))
     pmfs = dist.pmf_snapshots(model, steps)
+    size = np.array([pmfs[n].n for n in steps])
+    start = np.cumsum(size + 1) - (size + 1)  # a column's support, then its overflow bin
+    hist = np.zeros(start[-1] + size[-1] + 1, dtype=np.int64)
+    k0 = [pmfs[n].k0 for n in steps]
+    rows = max(1, _BLOCK // len(steps))
+    for lo in range(0, reps, rows):
+        col = np.subtract(stats[lo : lo + rows], k0, dtype=np.int64)
+        # read as unsigned, a value below k0 lies above the support too
+        np.minimum(col.view(np.uint64), size.astype(np.uint64), out=col.view(np.uint64))
+        col += start
+        hist += np.bincount(col.ravel(), minlength=len(hist))
+    out = np.empty(len(steps))
     for i, n in enumerate(steps):
-        p = pmfs[n]
-        col = stats[:, i] - p.k0
-        counts = np.bincount(col[(col >= 0) & (col < p.n)], minlength=p.n)[: p.n]
+        counts = hist[start[i] : start[i] + size[i]]
         emp = counts / reps
-        exact = p.probs()
+        exact = pmfs[n].probs()
         overflow = 1.0 - counts.sum() / reps  # any mass outside the support
         out[i] = 0.5 * (np.abs(emp - exact).sum() + overflow)
     return out

@@ -17,6 +17,7 @@ def _run(idx: int):
     assert not failures, f"criterion {idx}: {len(failures)} check(s) failed: " + "; ".join(
         f"{r.name} ({r.value:.6g} not {r.relation} {r.bound:.6g})" for r in failures
     )
+    return results
 
 
 def test_criterion_1_hypergeometric_route_matches_closed_forms():
@@ -47,5 +48,17 @@ def test_criterion_7_root_certificates_all_presets():
     _run(7)
 
 
+# C8's lines at DEFAULT_SEED: a change to a grower's stream, the bud
+# walker or the TV arithmetic shows here, not only past a bound
+C8_LINES = [
+    "[PASS] C8 total variation vs chain pmf, Yule cherries: 0.00111582 <= 0.005  [worst step n=11]",
+    "[PASS] C8 total variation vs chain pmf, uniform leaves: 0.00111967 <= 0.005  [worst step n=5]",
+    "[PASS] C8 total variation vs chain pmf, plane-oriented leaves: 0.00151703 <= 0.005  [worst step n=10]",
+    "[PASS] C8 total variation vs chain pmf, attachment-graph leaves: 0.00100612 <= 0.005  [worst step n=9]",
+    "[PASS] C8 total variation vs chain pmf, Stirling plateaux: 0.000899333 <= 0.005  [worst step n=4]",
+    "[PASS] C8 quenched bud LLN -> 3/4: 1.64 <= 3  [mean=0.749857 se=8.70e-05]",
+]
+
+
 def test_criterion_8_growers_match_chain_and_bud_lln():
-    _run(8)
+    assert [r.line() for r in _run(8)] == C8_LINES

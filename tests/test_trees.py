@@ -1,12 +1,13 @@
 """Tree growers: exact small-case laws, structural bookkeeping, and
 agreement in distribution with the counting chain."""
 
+import re
 from functools import partial
 
 import numpy as np
 import pytest
 
-from treeldp import chain, trees
+from treeldp import chain, dist, trees
 from treeldp import (
     DEFAULT_SEED,
     ModelSpec,
@@ -613,11 +614,13 @@ def test_bud_batch_equals_the_per_step_walk(beta):
 @pytest.mark.usefixtures("small_block")
 @pytest.mark.parametrize("beta", [0.0, 0.5])
 def test_bud_lln_equals_the_per_step_walk(beta):
-    for seed, (n, reps) in enumerate(WALKER_SHAPES):
-        want = _bud_lln_reference(beta, GAMMA_HALF, n, reps, seed)
-        got = bud_lln_endpoints(beta, GAMMA_HALF, n, reps, seed)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, want), (n, reps, seed)
+    # the zero weights tie cumulative weights, inside and at the end
+    for gamma in (GAMMA_HALF, {1: 0.3, 2: 0.0, 3: 0.7}, {1: 0.5, 2: 0.5, 3: 0.0}):
+        for seed, (n, reps) in enumerate(WALKER_SHAPES):
+            want = _bud_lln_reference(beta, gamma, n, reps, seed)
+            got = bud_lln_endpoints(beta, gamma, n, reps, seed)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), (gamma, n, reps, seed)
 
 
 def test_bud_single_run_with_structure_is_its_batch_of_one():
@@ -653,6 +656,47 @@ def test_tv_harness_on_synthetic_columns():
     # mass entirely outside the support counts as distance 1
     stats = np.array([[99], [99]])
     assert tv_against_chain(stats, model, [3])[0] == pytest.approx(1.0, abs=1e-15)
+
+
+def _tv_reference(stats, model, steps):
+    """tv_against_chain as one masked bincount per column."""
+    pmfs = dist.pmf_snapshots(model, steps)
+    out = np.empty(len(steps))
+    for i, n in enumerate(steps):
+        p = pmfs[n]
+        col = stats[:, i] - p.k0
+        counts = np.bincount(col[(col >= 0) & (col < p.n)], minlength=p.n)[: p.n]
+        overflow = 1.0 - counts.sum() / len(stats)
+        out[i] = 0.5 * (np.abs(counts / len(stats) - p.probs()).sum() + overflow)
+    return out
+
+
+def test_tv_equals_the_per_column_loop():
+    rng = np.random.default_rng(4)
+    cases = [
+        # more rows than one block of four columns, values below k0 and past the support
+        ("pa:beta=0", [1, 2, 7, 12], 3 * (_BLOCK // 4) + 5, (-3, 16)),
+        ("uniform", [5], _BLOCK + 7, (-2, 9)),  # one column, two blocks
+        ("plane_oriented", [1, 3, 3, 40], 1000, (0, 45)),
+        ("yule", range(1, 13), 1, (0, 8)),
+    ]
+    for preset, steps, reps, (lo, hi) in cases:
+        model = model_from_name(preset)
+        stats = rng.integers(lo, hi, size=(reps, len(steps)))
+        got = tv_against_chain(stats, model, steps)
+        assert np.array_equal(got, _tv_reference(stats, model, list(steps))), preset
+    # a grower's own columns
+    stats = batch_yule_cherries(12, 30_000, seed=3, record_all=True)
+    want = _tv_reference(stats, model_from_name("yule"), list(range(1, 13)))
+    assert np.array_equal(tv_against_chain(stats, model_from_name("yule"), range(1, 13)), want)
+
+
+@pytest.mark.parametrize(
+    "shape", [(10, 13), (10, 11), (12,), (0, 12)], ids=["extra column", "missing column", "1-D", "no rows"]
+)
+def test_tv_refuses_stats_of_the_wrong_shape(shape):
+    with pytest.raises(ValueError, match=rf"shape \(reps, 12\).*got shape {re.escape(str(shape))}"):
+        tv_against_chain(np.ones(shape, dtype=np.int64), model_from_name("yule"), range(1, 13))
 
 
 def test_bud_lln_quick():
