@@ -159,10 +159,11 @@ def YuleSlope() -> AffineSlope:
     return AffineSlope(Fraction(1, 2), 0, "yule")
 
 
-def PrefAttachSlope(beta, dG1: int = 2, vG1: int = 2) -> AffineSlope:
-    """s_n = (dG1 + 2(n-1) + (n-1+vG1) beta) / (1+beta) for preferential
-    attachment started from a seed graph with total degree dG1 and vG1
-    vertices (single edge by default)."""
+def PrefAttachSlope(beta) -> AffineSlope:
+    """s_n = (2 + 2(n-1) + (n+1) beta) / (1+beta) for preferential
+    attachment started from a single edge (total degree 2, two vertices,
+    k0 = 2), as every grower and preset starts it; any other affine
+    slope is an AffineSlope(a, b)."""
     beta = _as_number(beta)
     if beta <= -1:
         raise ValueError("pref_attach needs beta > -1")
@@ -170,23 +171,22 @@ def PrefAttachSlope(beta, dG1: int = 2, vG1: int = 2) -> AffineSlope:
     # and b separately could push s_1 below the seed count k0
     x = Fraction(beta)
     a = (2 + x) / (1 + x)
-    b = (dG1 - 2 + (vG1 - 1) * x) / (1 + x)
+    b = x / (1 + x)
     return AffineSlope(a, b, f"pa:beta={beta}")
 
 
 @dataclass(frozen=True)
 class RandomizedPASlope:
-    """Quenched slopes for randomized preferential attachment: vertex i
-    arrives with gamma_i parallel edges, gamma_i drawn once from a finite
-    pmf keyed by `seed`.  s_n = [dG1 + 2 sum_{i<n} gamma_i + (n-1+vG1) beta]/(1+beta).
+    """Quenched slopes for randomized preferential attachment from a
+    single edge (k0 = 2): vertex i arrives with gamma_i parallel edges,
+    gamma_i drawn once from a finite pmf keyed by `seed`.
+    s_n = [2 + 2 sum_{i<n} gamma_i + (n+1) beta]/(1+beta).
     """
 
     beta: Fraction | float
     gamma_values: tuple[int, ...]
     gamma_probs: tuple[float, ...]
     seed: int
-    dG1: int = 2
-    vG1: int = 2
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -204,12 +204,9 @@ class RandomizedPASlope:
         object.__setattr__(self, "gamma_probs", tuple(probs.tolist()))
 
     @property
-    def gamma_mean(self) -> float:
-        return float(np.dot(self.gamma_values, self.gamma_probs))
-
-    @property
     def alpha(self) -> float:
-        return float((2.0 * self.gamma_mean + float(self.beta)) / (1.0 + float(self.beta)))
+        gamma_mean = float(np.dot(self.gamma_values, self.gamma_probs))
+        return float((2.0 * gamma_mean + float(self.beta)) / (1.0 + float(self.beta)))
 
     @property
     def is_rational(self) -> bool:
@@ -237,20 +234,18 @@ class RandomizedPASlope:
     def value(self, n: int) -> Fraction | float:
         csum = int(self._cum(max(n - 1, 1))[n - 1])
         # exact when beta is a Fraction, one float division otherwise
-        return (self.dG1 + 2 * csum + (n - 1 + self.vG1) * self.beta) / (1 + self.beta)
+        return (2 + 2 * csum + (n + 1) * self.beta) / (1 + self.beta)
 
     def values_float(self, n_max: int) -> np.ndarray:
         cs = self._cum(n_max)[:n_max]
         if not self.is_rational:
             n = np.arange(1, n_max + 1, dtype=np.int64)
             b = float(self.beta)
-            return (self.dG1 + 2.0 * cs + (n - 1 + self.vG1) * b) / (1.0 + b)
-        # beta = p/q: s_n = [q (dG1 + 2 cs) + p (n-1+vG1)] / (p+q), rounded once
+            return (2 + 2.0 * cs + (n + 1) * b) / (1.0 + b)
+        # beta = p/q: s_n = [q (2 + 2 cs) + p (n+1)] / (p+q), rounded once
         p, q = self.beta.numerator, self.beta.denominator
-        bound = q * (self.dG1 + 2 * int(cs.max(initial=0))) + abs(p) * (n_max - 1 + self.vG1)
-        return _exact_quotient(
-            lambda n: q * (self.dG1 + 2 * cs.astype(n.dtype)) + p * (n - 1 + self.vG1), bound, p + q, n_max
-        )
+        bound = q * (2 + 2 * int(cs.max(initial=0))) + abs(p) * (n_max + 1)
+        return _exact_quotient(lambda n: q * (2 + 2 * cs.astype(n.dtype)) + p * (n + 1), bound, p + q, n_max)
 
     def label(self) -> str:
         pmf = "+".join(f"{v}@{p:g}" for v, p in zip(self.gamma_values, self.gamma_probs))

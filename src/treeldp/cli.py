@@ -258,54 +258,48 @@ def _cmd_rate(m: dict) -> int:
     return 0
 
 
-def _path_out_name(out: str, x: float, many: bool) -> str:
-    if not many:
-        return out
+def _path_out_name(out: str, x: float) -> str:
     stem, dot, ext = out.rpartition(".")
-    if not dot:
-        return f"{out}_x{x:g}"
-    return f"{stem}_x{x:g}.{ext}"
+    return f"{stem}_x{x:g}.{ext}" if dot else f"{out}_x{x:g}"
 
 
 def _cmd_path(m: dict) -> int:
     alpha = _resolve_alpha(m)
     xs = m.get("x") or [2.0 / 3.0]
-    ev = PressureEval(alpha)
     fmt = m["format"]
+    outs = [m["out"]] * len(xs)
+    if fmt == "csv" and len(xs) > 1 and m["out"] is not None:
+        outs = [_path_out_name(m["out"], x) for x in xs]  # one file per target
+        for i, out in enumerate(outs):
+            if out in outs[:i]:
+                raise ValueError(f"targets {xs[outs.index(out)]!r} and {xs[i]!r} would both write {out}")
+    ev = PressureEval(alpha)
+    paths = []
+    for x in xs:
+        sol = euler_solve(alpha, x)
+        paths.append({
+            "x": x,
+            "cost": sol.cost,
+            "rate_from_legendre": rate(ev, x).rate,
+            "terminal_gap": sol.terminal_gap,
+            "t": sol.path.knots.tolist(),
+            "phi": sol.path.values.tolist(),
+            "phidot": np.gradient(sol.path.values, sol.path.knots).tolist(),
+        })
     if fmt == "json":
-        paths = []
-        for x in xs:
-            sol = euler_solve(alpha, x)
-            paths.append(
-                {
-                    "x": x,
-                    "cost": sol.cost,
-                    "rate_from_legendre": rate(ev, x).rate,
-                    "terminal_gap": sol.terminal_gap,
-                    "t": sol.path.knots.tolist(),
-                    "phi": sol.path.values.tolist(),
-                    "phidot": np.gradient(sol.path.values, sol.path.knots).tolist(),
-                }
-            )
         resolved = {"command": "path", "alpha": alpha, "x": list(xs), "format": fmt}
         with _output(m["out"]) as stream:
             _write_json(stream, {"config": resolved, "paths": paths}, m["timestamp"])
         return 0
-    many = len(xs) > 1 and m["out"] is not None
-    for x in xs:
-        sol = euler_solve(alpha, x)
-        resolved = {"command": "path", "alpha": alpha, "x": x, "format": fmt}
+    for p, out in zip(paths, outs):
+        resolved = {"command": "path", "alpha": alpha, "x": p["x"], "format": fmt}
         summary = (
-            f"# summary: cost={sol.cost:.17g} rate={rate(ev, x).rate:.17g} "
-            f"gap={sol.terminal_gap:.3g}"
+            f"# summary: cost={p['cost']:.17g} rate={p['rate_from_legendre']:.17g} "
+            f"gap={p['terminal_gap']:.3g}"
         )
-        out = m["out"] if m["out"] is None else _path_out_name(m["out"], x, many)
-        phidot = np.gradient(sol.path.values, sol.path.knots)
-        rows = zip(sol.path.knots.tolist(), sol.path.values.tolist(), phidot.tolist())
+        rows = zip(p["t"], p["phi"], p["phidot"])
         with _output(out) as stream:
-            _write_table(
-                stream, resolved, ["t", "phi", "phidot"], rows, fmt, m["timestamp"], [summary]
-            )
+            _write_table(stream, resolved, ["t", "phi", "phidot"], rows, fmt, m["timestamp"], [summary])
     return 0
 
 

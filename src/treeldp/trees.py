@@ -157,17 +157,6 @@ def _flat(tgt: np.ndarray, width: int) -> np.ndarray:
     return (tgt + width * np.arange(len(tgt))[:, None]).ravel()
 
 
-def _per_target(ufunc, tgt: np.ndarray, width: int, empty: int):
-    """`ufunc` over the step numbers that hit each target 0..width - 1 of a
-    row (`empty` if none), shape (rows, width), and that value read back at
-    every step, shape (rows, steps)."""
-    rows, steps = tgt.shape
-    key = _flat(tgt, width)
-    red = np.full(rows * width, empty)
-    ufunc.at(red, key, np.tile(np.arange(1, steps + 1), rows))
-    return red.reshape(rows, width), red[key].reshape(rows, steps)
-
-
 def _unhit(tgt: np.ndarray, nvert: int, out: np.ndarray, base: int, odd: bool = False) -> None:
     """The vertices 0..nvert - 1 (odd gaps when `odd`) no step has hit yet,
     written into `out`: shape (rows,) after the last step, or (rows,
@@ -181,7 +170,11 @@ def _unhit(tgt: np.ndarray, nvert: int, out: np.ndarray, base: int, odd: bool = 
         out[:] = base + steps - np.count_nonzero(real, axis=1)
         return
     m = np.arange(1, steps + 1)
-    fresh = (_per_target(np.minimum, tgt, nvert + 1, steps + 1)[1] == m) & (tgt < nvert)
+    key = _flat(tgt, nvert + 1)
+    first = np.full(rows * (nvert + 1), steps + 1)
+    np.minimum.at(first, key, np.tile(m, rows))
+    fresh = (first[key].reshape(rows, steps) == m) & (tgt < nvert)
+    del key, first  # the block's largest arrays: free them before counting
     if odd:
         fresh &= tgt % 2 == 1
     out[:, 0] = base
@@ -288,7 +281,7 @@ def grow_pa_graph(
     multi_edge_pmf=None,
     return_structure: bool = False,
 ):
-    """Grow G_n from a single-edge seed (vG1 = dG1 = 2), attaching each
+    """Grow G_n from a single edge (two vertices, k0 = 2), attaching each
     new vertex with weight deg + beta; returns the leaf count, or with
     multi_edge_pmf the bud count under the quenched multi-edge model.
     Either mode is its batch grower at reps = 1 (batch_pa_leaves,
@@ -316,7 +309,7 @@ def grow_pa_graph(
     z = batch_pa_buds(beta, (gv, gp), n, 1, seed, record_all=return_structure)[0]
     if not return_structure:
         return GrowthResult(slopes.label(), n, int(z), seed)
-    degrees = np.zeros(n + 1, dtype=np.int64)  # vG1 + n - 1 vertices
+    degrees = np.zeros(n + 1, dtype=np.int64)  # two seed vertices and n - 1 more
     degrees[0] = degrees[1] = 1
     is_bud = np.zeros(n + 1, dtype=bool)
     is_bud[0] = is_bud[1] = True
@@ -476,7 +469,7 @@ def bud_lln_endpoints(
     def slopes(rows):
         # one gamma per replicate and step; s_m reads the gammas of the
         # steps before m, an exclusive prefix sum carried across blocks.
-        # With every gamma >= 1, s_1 = dG1 = k0 and each step adds more
+        # With every gamma >= 1, s_1 = 2 = k0 and each step adds more
         # than 1 to s_m, so no state can pass its slope
         cum_gamma = np.zeros(reps, dtype=np.int64)
         for first in range(1, n, rows):
@@ -490,7 +483,7 @@ def bud_lln_endpoints(
             g = gv_arr[idx]
             before = np.cumsum(g, axis=0) - g + cum_gamma
             cum_gamma = before[-1] + g[-1]
-            yield (env.dG1 + 2.0 * before + (m - 1 + env.vG1) * b) / (1.0 + b)
+            yield (2 + 2.0 * before + (m + 1) * b) / (1.0 + b)
 
     return _walk(make_generator(seed, _STREAM_TREES, 11), 2, n, reps, slopes)
 
@@ -533,8 +526,9 @@ def verify_clt(model: ModelSpec, n: int, reps: int, seed: int = DEFAULT_SEED) ->
 
 def tv_against_chain(stats: np.ndarray, model: ModelSpec, steps) -> np.ndarray:
     """Total-variation distance between empirical statistic columns and
-    the chain's exact pmf.  stats has shape (reps, len(steps)), reps >= 1;
-    steps[i] is the chain index n the i-th column corresponds to.
+    the chain's exact pmf.  stats has shape (reps, len(steps)), reps >= 1,
+    and holds integers or whole-number floats; steps[i] is the chain index
+    n the i-th column corresponds to.
 
     One histogram holds every column: its support, then one overflow bin
     for the values outside it, filled a block of at most _BLOCK values at
@@ -546,6 +540,10 @@ def tv_against_chain(stats: np.ndarray, model: ModelSpec, steps) -> np.ndarray:
             f"stats must have shape (reps, {len(steps)}) with reps >= 1, one column per step; "
             f"got shape {stats.shape}"
         )
+    if stats.dtype.kind == "f":  # counts held as floats
+        if not np.all(np.isfinite(stats) & (np.floor(stats) == stats)):
+            raise ValueError("stats must hold whole numbers; got a non-integer or non-finite value")
+        stats = stats.astype(np.int64)
     reps = stats.shape[0]
     pmfs = dist.pmf_snapshots(model, steps)
     size = np.array([pmfs[n].n for n in steps])

@@ -10,9 +10,11 @@ pass/fail line per check and returns overall success.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -40,6 +42,8 @@ from .trees import (
 
 __all__ = ["CheckResult", "run_suite", "CRITERIA"]
 
+_RELATIONS = {"<=": operator.le, "<": operator.lt, ">": operator.gt, "==": operator.eq}
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -52,15 +56,9 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
-        if self.relation == "<=":
-            return self.value <= self.bound
-        if self.relation == "<":
-            return self.value < self.bound
-        if self.relation == ">":
-            return self.value > self.bound
-        if self.relation == "==":
-            return self.value == self.bound
-        raise ValueError(f"unknown relation {self.relation!r}")
+        if self.relation not in _RELATIONS:
+            raise ValueError(f"unknown relation {self.relation!r}")
+        return _RELATIONS[self.relation](self.value, self.bound)
 
     def line(self) -> str:
         """The one-line report: tag, criterion, name, value vs bound, detail."""
@@ -279,42 +277,24 @@ def criterion_8(seed: int = DEFAULT_SEED) -> list[CheckResult]:
     the quenched bud count obeys its LLN."""
     reps = 1_000_000
     out = []
+    # (name, grower, chain preset, chain step of its first column); every grower ends at step 12
     cases = [
-        ("Yule cherries", lambda: batch_yule_cherries(12, reps, seed, record_all=True), "yule", range(1, 13)),
-        (
-            "uniform leaves",
-            lambda: batch_recursive_leaves("uniform", 12, reps, seed, record_all=True),
-            "uniform",
-            range(1, 13),
-        ),
-        (
-            "plane-oriented leaves",
-            lambda: batch_recursive_leaves("plane_oriented", 12, reps, seed, record_all=True),
-            "plane_oriented",
-            range(1, 13),
-        ),
-        (
-            "attachment-graph leaves",
-            lambda: batch_pa_leaves(0.0, 12, reps, seed, record_all=True),
-            "pa:beta=0",
-            range(1, 13),
-        ),
-        (
-            "Stirling plateaux",
-            lambda: batch_stirling_plateaux(11, reps, seed, record_all=True),
-            "plane_oriented",
-            range(2, 13),
-        ),
+        ("Yule cherries", partial(batch_yule_cherries, 12), "yule", 1),
+        ("uniform leaves", partial(batch_recursive_leaves, "uniform", 12), "uniform", 1),
+        ("plane-oriented leaves", partial(batch_recursive_leaves, "plane_oriented", 12), "plane_oriented", 1),
+        ("attachment-graph leaves", partial(batch_pa_leaves, 0.0, 12), "pa:beta=0", 1),
+        ("Stirling plateaux", partial(batch_stirling_plateaux, 11), "plane_oriented", 2),
     ]
-    for name, run, preset, steps in cases:
-        tv = tv_against_chain(run(), model_from_name(preset), steps)
+    for name, grow, preset, first in cases:
+        steps = range(first, 13)
+        tv = tv_against_chain(grow(reps, seed, record_all=True), model_from_name(preset), steps)
         out.append(
             CheckResult(
                 8,
                 f"total variation vs chain pmf, {name}",
                 float(tv.max()),
                 5e-3,
-                detail=f"worst step n={list(steps)[int(tv.argmax())]}",
+                detail=f"worst step n={steps[int(tv.argmax())]}",
             )
         )
     n, reps_lln = 16_000, 1000

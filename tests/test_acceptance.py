@@ -4,7 +4,7 @@ pass/fail line per check (run with -s to watch them stream)."""
 import pytest
 
 from treeldp.chain import DEFAULT_SEED
-from treeldp.verify import CRITERIA
+from treeldp.verify import CRITERIA, CheckResult
 
 
 def _run(idx: int):
@@ -62,3 +62,12 @@ C8_LINES = [
 
 def test_criterion_8_growers_match_chain_and_bud_lln():
     assert [r.line() for r in _run(8)] == C8_LINES
+
+
+def test_check_result_compares_by_its_relation():
+    cases = [("<=", 1.0, 1.0, True), ("<", 1.0, 1.0, False), (">", 2.0, 1.0, True), ("==", 30, 30, True),
+             ("==", 29, 30, False), ("<=", 1.5, 1.0, False)]
+    for relation, value, bound, passed in cases:
+        assert CheckResult(1, "check", value, bound, relation).passed is passed
+    with pytest.raises(ValueError, match="unknown relation '>='"):
+        CheckResult(1, "check", 1.0, 1.0, ">=").passed

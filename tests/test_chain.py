@@ -143,6 +143,15 @@ def test_float_beta_keeps_the_seed_slope_exact():
     assert svals.tolist() == [float(slopes.value(k)) for k in range(1, 201)]
 
 
+@pytest.mark.parametrize("beta", [0, 1, Fraction(-1, 2), Fraction(1, 3)])
+def test_quenched_slope_with_single_edges_is_the_pa_slope(beta):
+    # both classes start from one edge: total degree 2 and two vertices
+    rpa, pa = RandomizedPASlope(beta, (1,), (1.0,), seed=4), chain.PrefAttachSlope(beta)
+    for n in range(1, 201):
+        assert type(rpa.value(n)) is Fraction and rpa.value(n) == pa.value(n)
+    assert np.array_equal(rpa.values_float(200), pa.values_float(200))
+
+
 def test_huge_rational_beta_uses_exact_integer_rounding():
     # p + q past 2**53 takes the integer-division fallback
     s = RandomizedPASlope(Fraction(1, 2**60 + 1), (1, 2), (0.5, 0.5), seed=3)
@@ -203,12 +212,13 @@ def _simulate_endpoints_reference(model, n, reps, seed):
     return z
 
 
-@pytest.mark.parametrize(
-    "preset",
-    ["uniform", "plane_oriented", "yule", "pa:beta=1", "linear:alpha=2,k0=0", "linear:alpha=1,k0=1",
-     "linear:alpha=1/2,k0=0", "rpa:beta=0,gamma=1@0.5+2@0.5,seed=3",
-     "rpa:beta=1,gamma=1@0.2+3@0.8,seed=5"],
-)
+WALK_PRESETS = [
+    "uniform", "plane_oriented", "yule", "pa:beta=1", "linear:alpha=2,k0=0", "linear:alpha=1,k0=1",
+    "linear:alpha=1/2,k0=0", "rpa:beta=0,gamma=1@0.5+2@0.5,seed=3", "rpa:beta=1,gamma=1@0.2+3@0.8,seed=5",
+]
+
+
+@pytest.mark.parametrize("preset", WALK_PRESETS)
 def test_simulate_endpoints_equals_the_per_step_walk(preset):
     m = model_from_name(preset)
     # reps = 3000 takes 43 steps per block, reps = 1 the whole walk;
@@ -219,6 +229,19 @@ def test_simulate_endpoints_equals_the_per_step_walk(preset):
         got = simulate_endpoints(m, n, reps, seed)
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("preset", WALK_PRESETS)
+def test_simulate_is_the_vectorized_walker_at_one_replicate(preset):
+    # the scalar loop and _walk take the same uniforms and the same coin rule
+    m = model_from_name(preset)
+    for n in (1, 2, 300, 5000):
+        slopes = chain._reachable(m.k0, m.slopes.values_float(max(n - 1, 1))).tolist()
+        for seed in range(3):
+            walk = chain._walk(make_generator(seed, chain._STREAM_SIM), m.k0, n, 1, slopes, record=True)
+            values = simulate(m, n, seed).values
+            assert np.array_equal(values, walk[0])
+            assert values[-1] == simulate_endpoints(m, n, 1, seed)[0]
 
 
 def test_simulate_endpoints_refuses_as_the_per_step_walk_does():

@@ -1,6 +1,7 @@
 """Command-line interface: output contracts, determinism, config merging,
-and exit codes.  Runs in-process through main(argv); one subprocess case
-covers the console-script entry point declared in pyproject.toml."""
+and exit codes.  Runs in-process through main(argv); subprocess cases
+cover the console-script entry point declared in pyproject.toml and the
+modules a fresh import of the package loads."""
 
 import json
 import math
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from treeldp import cli
 from treeldp.cli import main
 
 
@@ -213,6 +215,19 @@ def test_path_csv_files_per_target(capsys, tmp_path):
         rate_val = float(summary.split("rate=")[1].split()[0])
         assert cost == pytest.approx(rate_val, abs=1e-6)
         assert float(rows[-1][1]) == pytest.approx(float(x), abs=1e-6)
+
+
+def test_path_refuses_two_targets_that_share_a_file(capsys, tmp_path, monkeypatch):
+    # {x:g} names both targets p_x0.123457.csv: refused before any solve or write
+    monkeypatch.setattr(cli, "euler_solve", lambda *args: pytest.fail("solved a refused target"))
+    rc, out, err = run_cli(
+        capsys,
+        "path", "--alpha", "2", "--x", "0.1234567", "--x", "0.1234568",
+        "--out", str(tmp_path / "p.csv"), "--no-header-timestamp",
+    )
+    assert rc == 2 and out == ""
+    assert "0.1234567" in err and "0.1234568" in err and "p_x0.123457.csv" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_path_has_no_tol_option(capsys):
@@ -438,20 +453,28 @@ def test_verify_checks_every_criterion_before_running(capsys):
 # -------------------------------------------------------------- entry point
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _source_env() -> dict:
+    """The environment of a subprocess that imports treeldp from the source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
 def test_installed_entry_point():
     # run the [project.scripts] target the way an installed console script
     # would, from the source tree, so no install is needed
-    root = Path(__file__).resolve().parents[1]
-    pyproject = (root / "pyproject.toml").read_text()
+    pyproject = (ROOT / "pyproject.toml").read_text()
     scripts = pyproject.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
     target = re.search(r'^treeldp\s*=\s*"([\w.]+):(\w+)"\s*$', scripts, re.M)
     assert target is not None, "pyproject.toml declares no treeldp console script"
     module, func = target.groups()
     assert (module, func) == ("treeldp.cli", "main")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
-    )
+    env = _source_env()
     launcher = f"import sys; from {module} import {func}; sys.exit({func}())"
     proc = subprocess.run(
         [sys.executable, "-c", launcher, "pressure", "--alpha", "2", "--lambda-grid", "1",
@@ -464,3 +487,22 @@ def test_installed_entry_point():
     assert proc.returncode == 0
     assert proc.stdout.startswith("# config: ")
     assert "lambda,pressure,dpressure,ode_residual" in proc.stdout
+
+
+def test_the_package_imports_neither_mpmath_nor_scipy_stats():
+    # mpmath is a reference for literals in the tests only, and scipy.stats
+    # is left out for import time: neither may come in through any kernel
+    code = "\n".join([
+        "import sys",
+        "import treeldp",
+        "treeldp.rate(treeldp.PressureEval(2.0), 0.5)",
+        "treeldp.euler_solve(2.0, 0.5)",
+        "treeldp.pmf(treeldp.model_from_name('plane_oriented'), 50)",
+        "treeldp.batch_recursive_leaves('uniform', 20, 10)",
+        "print(*[name for name in ('mpmath', 'scipy.stats') if name in sys.modules])",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=_source_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

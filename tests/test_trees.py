@@ -699,6 +699,22 @@ def test_tv_refuses_stats_of_the_wrong_shape(shape):
         tv_against_chain(np.ones(shape, dtype=np.int64), model_from_name("yule"), range(1, 13))
 
 
+def test_tv_reads_whole_number_floats_as_their_counts():
+    stats = batch_yule_cherries(12, 3000, seed=5, record_all=True)
+    model = model_from_name("yule")
+    want = tv_against_chain(stats, model, range(1, 13))
+    assert np.array_equal(tv_against_chain(stats.astype(float), model, range(1, 13)), want)
+    assert np.array_equal(tv_against_chain(np.ones((5, 2)), model, [2, 3]), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("bad", [0.5, np.nan, np.inf, -np.inf])
+def test_tv_refuses_floats_that_are_not_counts(bad):
+    stats = np.ones((5, 2))
+    stats[3, 1] = bad
+    with pytest.raises(ValueError, match="stats must hold whole numbers"):
+        tv_against_chain(stats, model_from_name("yule"), [2, 3])
+
+
 def test_bud_lln_quick():
     z = bud_lln_endpoints(0.0, GAMMA_HALF, 2000, 300, seed=3)
     assert abs(float(np.mean(z)) / 2000 - 0.75) <= 0.01
