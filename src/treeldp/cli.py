@@ -269,7 +269,7 @@ def _cmd_path(m: dict) -> int:
     fmt = m["format"]
     outs = [m["out"]] * len(xs)
     if fmt == "csv" and len(xs) > 1 and m["out"] is not None:
-        outs = [_path_out_name(m["out"], x) for x in xs]  # one file per target
+        outs = [_path_out_name(m["out"], x) for x in xs]
         for i, out in enumerate(outs):
             if out in outs[:i]:
                 raise ValueError(f"targets {xs[outs.index(out)]!r} and {xs[i]!r} would both write {out}")
