@@ -268,7 +268,7 @@ def _cmd_path(m: dict) -> int:
     xs = m.get("x") or [2.0 / 3.0]
     fmt = m["format"]
     outs = [m["out"]] * len(xs)
-    if fmt == "csv" and len(xs) > 1 and m["out"] is not None:
+    if fmt == "csv" and len(xs) > 1 and m["out"] not in (None, "-"):
         outs = [_path_out_name(m["out"], x) for x in xs]
         for i, out in enumerate(outs):
             if out in outs[:i]:

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.special import xlogy
 
 __all__ = [
@@ -171,6 +170,14 @@ class EulerSolution:
     @property
     def terminal_gap(self) -> float:
         return abs(self.endpoint - self.x_target)
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call: that package
+    loads scipy.optimize, which nothing but a path solve needs."""
+    from scipy.integrate import solve_ivp as solve
+
+    return solve(*args, **kwargs)
 
 
 def _hamilton_rhs(tau: float, state, alpha: float):

@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
 
-from scipy.optimize import brentq
 from scipy.special import digamma, expn, hyp2f1, zeta
 
 __all__ = [
@@ -35,8 +33,9 @@ __all__ = [
     "sigma_sq",
 ]
 
-# rate's upper bracket doubles up to here, below lambda = 709 where e^lambda
-# overflows; the lower one doubles until it brackets lambda*
+# rate's Newton solve clamps every trial lambda to here, below lambda = 709
+# where e^lambda overflows, and refuses x whose lambda* lies above it; below
+# lambda = 0 it steps outward until it brackets lambda*
 _BRACKET_CAP = 512.0
 # The route sums the log-case series at and below
 # _SERIES_SWITCH, where hyp2f1 loses digits (1e-9 off at lambda = -20, inf
@@ -328,22 +327,43 @@ def rate(ev: PressureEval, x: float) -> RatePoint:
     if x == 1.0 or x > a:
         return RatePoint(x, math.inf, math.inf)
 
-    # memoized, so brentq reuses the bracket ends the doubling evaluated and
-    # Lambda(lambda*) comes from the evaluation that found lambda*
-    evaluate = lru_cache(maxsize=None)(partial(_general, a))
-
-    def f(lam: float) -> float:
-        return evaluate(lam)[1] - x
-
-    lo, hi = -1.0, 1.0
-    while f(lo) > 0.0:
-        lo *= 2.0
-    while f(hi) < 0.0:
-        if hi >= _BRACKET_CAP:
-            raise ValueError(f"lambda* above {_BRACKET_CAP:g}: x={x} too close to the upper edge")
-        hi *= 2.0
-    if abs(f(0.0)) < 1e-15:
-        lam_star = 0.0
-    else:
-        lam_star = brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    return RatePoint(x, lam_star, lam_star * x - evaluate(lam_star)[0])
+    # Safeguarded Newton on the exact Lambda'' from lambda = 0, whose
+    # constants cost no evaluation.  Lambda' < x at lo and > x at hi.  A
+    # step that would leave them, or follows one that did not halve the
+    # residual, or meets Lambda'' <= 0 (it reads 0 far in the upper tail)
+    # doubles outward while an end is unknown and bisects once both are
+    # known.  Each trial keeps the evaluation that gives Lambda(lambda*).
+    lam, lam_val, d1, d2 = 0.0, 0.0, mean_slope(a), sigma_sq(a)
+    if abs(d1 - x) < 1e-15:
+        return RatePoint(x, 0.0, 0.0)
+    lo, hi = -math.inf, math.inf
+    best = (math.inf, lam, lam_val)
+    r_prev = math.inf
+    while True:
+        r = d1 - x
+        best = min(best, (abs(r), lam, lam_val))
+        if r < 0.0:
+            if lam >= _BRACKET_CAP:
+                raise ValueError(f"lambda* above {_BRACKET_CAP:g}: x={x} too close to the upper edge")
+            lo = lam
+        else:
+            hi = lam
+        # where Lambda' jitters (1e-14 at alpha = 20, lambda = -2.4) the
+        # bracket closes to this before the best trial is taken
+        tol = 1e-14 + 8.9e-16 * abs(lam)
+        step = r / d2 if d2 > 0.0 else math.nan
+        converging = abs(r) <= 0.5 * abs(r_prev)
+        if r == 0.0 or hi - lo <= tol or (abs(step) <= tol and not converging):
+            break
+        trial = lam - step if converging else math.nan
+        if not lo < trial < hi:
+            if hi == math.inf:
+                trial = max(2.0 * lo, 1.0)
+            elif lo == -math.inf:
+                trial = min(2.0 * hi, -1.0)
+            else:
+                trial = 0.5 * (lo + hi)
+        lam, r_prev = min(trial, _BRACKET_CAP), r
+        lam_val, d1, d2 = _general(a, lam)
+    _, lam_star, lam_val = best
+    return RatePoint(x, lam_star, lam_star * x - lam_val)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from treeldp import cli
+from treeldp import cli, euler_solve
 from treeldp.cli import main
 
 
@@ -228,6 +228,23 @@ def test_path_refuses_two_targets_that_share_a_file(capsys, tmp_path, monkeypatc
     assert rc == 2 and out == ""
     assert "0.1234567" in err and "0.1234568" in err and "p_x0.123457.csv" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_path_csv_dash_writes_every_target_to_stdout(capsys, tmp_path, monkeypatch):
+    # '-' is stdout for several CSV targets too, never a file stem
+    monkeypatch.chdir(tmp_path)
+    argv = ["path", "--alpha", "2", "--x", "0.13", "--x", "0.85", "--no-header-timestamp"]
+    rc, out, _ = run_cli(capsys, *argv, "--out", "-")
+    assert rc == 0
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli(capsys, *argv)[1] == out
+    tables = out.split("# config: ")[1:]
+    assert len(tables) == 2
+    for x, table in zip(("0.13", "0.85"), tables):
+        comments, header, rows = csv_body("# config: " + table)
+        assert f'"x": {x}}}' in comments[0]
+        assert header == ["t", "phi", "phidot"]
+        assert float(rows[-1][1]) == pytest.approx(float(x), abs=1e-6)
 
 
 def test_path_has_no_tol_option(capsys):
@@ -506,3 +523,30 @@ def test_the_package_imports_neither_mpmath_nor_scipy_stats():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_only_a_path_solve_imports_scipy_optimize_and_integrate():
+    # rate solves lambda* by Newton and path.py imports solve_ivp on its
+    # first call, so nothing short of a path solve pays for either package
+    code = "\n".join([
+        "import contextlib, io, json, sys",
+        "import treeldp",
+        "import treeldp.cli",
+        "treeldp.rate(treeldp.PressureEval(2.0), 0.5)",
+        "treeldp.pmf(treeldp.model_from_name('plane_oriented'), 50)",
+        "treeldp.simulate_endpoints(treeldp.model_from_name('plane_oriented'), 50, 10, seed=1)",
+        "treeldp.batch_recursive_leaves('uniform', 20, 10)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    treeldp.cli.main(['rate', '--alpha', '2', '--x-grid', '0.1:0.9:0.2'])",
+        "loaded = [name for name in ('scipy.optimize', 'scipy.integrate') if name in sys.modules]",
+        "sol = treeldp.euler_solve(2.0, 0.5)",
+        "print(json.dumps([loaded, sol.cost, sol.endpoint, sol.path.values.tolist()]))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=_source_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, cost, endpoint, values = json.loads(proc.stdout)
+    assert loaded == []
+    sol = euler_solve(2.0, 0.5)
+    assert (cost, endpoint, values) == (sol.cost, sol.endpoint, sol.path.values.tolist())

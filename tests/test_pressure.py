@@ -2,6 +2,7 @@
 mpmath, derivatives, ODE residual, and the Legendre-transform rate
 function."""
 
+import importlib
 import math
 
 import pytest
@@ -21,6 +22,8 @@ from treeldp import (
     rate,
     sigma_sq,
 )
+
+pressure_mod = importlib.import_module("treeldp.pressure")
 
 
 def test_closed_form_values():
@@ -149,8 +152,8 @@ def test_rate_at_alpha_below_one():
 
 
 def test_rate_reaches_the_far_lower_tail():
-    # Lambda' is exact on the whole lower tail, so the bracket doubles until
-    # it holds lambda*: about -1e15 at x = 1e-15
+    # Lambda' is exact on the whole lower tail, so the solve steps outward
+    # until it brackets lambda*: about -1e15 at x = 1e-15
     pt = rate(PressureEval(1.5), 0.03)  # mpmath: -33.947038972210401, 2.8936118362617456
     assert pt.lambda_star == pytest.approx(-33.947038972210401, rel=1e-14)
     assert pt.rate == pytest.approx(2.8936118362617456, rel=1e-14)
@@ -163,8 +166,8 @@ def test_rate_reaches_the_far_lower_tail():
 
 
 def test_rate_upper_bracket_reaches_its_cap():
-    # the upper bracket doubles up to 512: lambda* = 1/(1 - x) = 33.3 at
-    # alpha = 1, x = 0.97, one doubling beyond the old refusal at 32
+    # the solve clamps its trials to lambda = 512: lambda* = 1/(1 - x) = 33.3
+    # at alpha = 1, x = 0.97, beyond the old refusal at 32
     pt = rate(PressureEval(1.0), 0.97)
     assert pt.lambda_star == pytest.approx(100.0 / 3.0, rel=1e-12)
     assert pt.rate == pytest.approx(2.50655789732, abs=1e-11)
@@ -592,9 +595,9 @@ def test_general_route_takes_large_alpha():
         assert pressure_derivatives(ev, lo)[0] == pytest.approx(pressure_derivatives(ev, hi)[0], rel=1e-13)
 
 
-def _rate_reference(ev, x):
-    """rate as it was before Lambda' got its own kernel: brentq on the
-    first component of pressure_derivatives, unmemoized."""
+def _brentq_root(ev, x):
+    """lambda* by brentq on the first component of pressure_derivatives,
+    as rate solved it before its Newton iteration."""
 
     def f(lam):
         return pressure_derivatives(ev, lam)[0] - x
@@ -604,16 +607,36 @@ def _rate_reference(ev, x):
         lo *= 2.0
     while f(hi) < 0.0:
         hi *= 2.0
-    lam_star = 0.0 if abs(f(0.0)) < 1e-15 else brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    return lam_star, lam_star * x - pressure(ev, lam_star)
+    return brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)
+
+
+def _slope_jitter(ev, lam):
+    """Spread of Lambda' over the nine floats nearest lambda: no root
+    finder resolves x more finely than this."""
+    grid = [lam]
+    for _ in range(4):
+        grid = [math.nextafter(grid[0], -math.inf), *grid, math.nextafter(grid[-1], math.inf)]
+    slopes = [pressure_derivatives(ev, point)[0] for point in grid]
+    return max(slopes) - min(slopes)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0, 20.0])
-def test_rate_is_bit_identical_to_the_full_derivative_route(alpha):
+def test_rate_is_bit_identical_to_the_full_derivative_route(alpha, monkeypatch):
+    # rate solves Lambda' = x by Newton on the exact Lambda'': lambda* is a
+    # root of the full-derivative route's Lambda', as close as brentq gets
+    # up to that Lambda''s own jitter (1e-14 from hyp2f1 at alpha = 20,
+    # x = 0.74), the rate is lambda* x - Lambda(lambda*) to the bit, and a
+    # call takes at most 7 evaluations of the route on average
     ev = PressureEval(alpha)
     xs = [0.05 + 0.9 * k / 13 for k in range(14)] + [mean_slope(alpha), 0.5 * mean_slope(alpha)]
-    for x in xs:
-        if x >= min(alpha, 1.0) - 0.02:
-            continue
-        r = rate(ev, x)
-        assert (r.lambda_star, r.rate) == _rate_reference(ev, x), x
+    xs = [x for x in xs if x < min(alpha, 1.0) - 0.02]
+    general, calls = pressure_mod._general, []
+    monkeypatch.setattr(pressure_mod, "_general", lambda a, lam: calls.append(lam) or general(a, lam))
+    points = [rate(ev, x) for x in xs]
+    monkeypatch.undo()
+    assert len(calls) <= 7 * len(xs)
+    for x, r in zip(xs, points):
+        assert r.rate == r.lambda_star * x - pressure(ev, r.lambda_star), x
+        residual = abs(pressure_derivatives(ev, r.lambda_star)[0] - x)
+        reference = abs(pressure_derivatives(ev, _brentq_root(ev, x))[0] - x)
+        assert residual <= reference + _slope_jitter(ev, r.lambda_star), x
