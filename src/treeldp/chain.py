@@ -76,11 +76,14 @@ def make_generator(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _as_number(x) -> Fraction | float:
-    """Keep rationals exact; leave non-rational floats alone."""
+def _as_number(x, arg: str) -> Fraction | float:
+    """Keep rationals exact; leave non-rational floats alone; refuse the
+    non-finite ones, naming the argument `arg`."""
     if isinstance(x, (int, Fraction, str)):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"{arg} must be finite, got {x}")
         if x == int(x):
             return Fraction(int(x))
         # floats that came from decimal literals are kept as given
@@ -110,8 +113,8 @@ class AffineSlope:
     name: str
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _as_number(self.a))
-        object.__setattr__(self, "b", _as_number(self.b))
+        object.__setattr__(self, "a", _as_number(self.a, "a"))
+        object.__setattr__(self, "b", _as_number(self.b, "b"))
 
     @property
     def alpha(self) -> float:
@@ -138,7 +141,7 @@ class AffineSlope:
 
 def LinearSlope(alpha) -> AffineSlope:
     """s_n = alpha * n."""
-    alpha = _as_number(alpha)
+    alpha = _as_number(alpha, "alpha")
     if alpha <= 0:
         raise ValueError("linear slope needs alpha > 0")
     return AffineSlope(alpha, 0, f"linear:alpha={alpha}")
@@ -164,7 +167,7 @@ def PrefAttachSlope(beta) -> AffineSlope:
     attachment started from a single edge (total degree 2, two vertices,
     k0 = 2), as every grower and preset starts it; any other affine
     slope is an AffineSlope(a, b)."""
-    beta = _as_number(beta)
+    beta = _as_number(beta, "beta")
     if beta <= -1:
         raise ValueError("pref_attach needs beta > -1")
     # a float beta is taken as the dyadic rational it stores: rounding a
@@ -190,14 +193,14 @@ class RandomizedPASlope:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", _as_number(self.beta))
+        object.__setattr__(self, "beta", _as_number(self.beta, "beta"))
         if self.beta <= -1:
             raise ValueError("randomized_pa needs beta > -1")
         vals = tuple(int(v) for v in self.gamma_values)
         if any(v < 1 for v in vals):
             raise ValueError("gamma values must be positive integers")
         probs = np.asarray(self.gamma_probs, dtype=float)
-        if len(probs) != len(vals) or np.any(probs < 0) or probs.sum() <= 0:
+        if len(probs) != len(vals) or not (np.all(probs >= 0) and 0 < probs.sum() < math.inf):
             raise ValueError("gamma pmf needs matching nonnegative weights")
         probs = probs / probs.sum()
         object.__setattr__(self, "gamma_values", vals)
@@ -436,6 +439,10 @@ def _walk(rng: np.random.Generator, k0: int, n: int, reps: int, slopes, record: 
     reachable state may exceed its slope and no slope may be 0:
     simulate_endpoints passes its slopes through _reachable, and the bud
     slopes in trees grow faster than the states can."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
     rows = max(1, _SIM_BLOCK // reps)
     if callable(slopes):
         blocks = slopes(rows)
@@ -464,8 +471,6 @@ def simulate_endpoints(
     model: ModelSpec, n: int, reps: int, seed: int = DEFAULT_SEED
 ) -> np.ndarray:
     """Z_n over `reps` independent replicates (vectorized)."""
-    if n < 1 or reps < 1:
-        raise ValueError("n and reps must be >= 1")
     svals = _reachable(model.k0, model.slopes.values_float(max(n - 1, 1))).tolist()
     return _walk(make_generator(seed, _STREAM_SIM), model.k0, n, reps, svals)
 

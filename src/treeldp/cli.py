@@ -105,6 +105,13 @@ def _output(path):
             yield fh
 
 
+def _emit(m: dict, resolved: dict, columns, rows) -> int:
+    """Write one table to --out in --format, and succeed."""
+    with _output(m["out"]) as stream:
+        _write_table(stream, resolved, columns, rows, m["format"], m["timestamp"])
+    return 0
+
+
 class _Tee:
     def __init__(self, *streams):
         self.streams = streams
@@ -236,10 +243,7 @@ def _cmd_pressure(m: dict) -> int:
         d1, _ = pressure_derivatives(ev, lam)
         res = ode_residual(ev, lam) if lam != 0.0 else math.nan
         rows.append((lam, val, d1, res))
-    columns = ["lambda", "pressure", "dpressure", "ode_residual"]
-    with _output(m["out"]) as stream:
-        _write_table(stream, resolved, columns, rows, m["format"], m["timestamp"])
-    return 0
+    return _emit(m, resolved, ["lambda", "pressure", "dpressure", "ode_residual"], rows)
 
 
 def _cmd_rate(m: dict) -> int:
@@ -251,11 +255,7 @@ def _cmd_rate(m: dict) -> int:
     for x in grid:
         pt = rate(ev, x)
         rows.append((pt.x, pt.lambda_star, pt.rate))
-    with _output(m["out"]) as stream:
-        _write_table(
-            stream, resolved, ["x", "lambda_star", "rate"], rows, m["format"], m["timestamp"]
-        )
-    return 0
+    return _emit(m, resolved, ["x", "lambda_star", "rate"], rows)
 
 
 def _path_out_name(out: str, x: float) -> str:
@@ -327,11 +327,7 @@ def _cmd_pmf(m: dict) -> int:
         (int(k), float(w), float(lp))
         for k, w, lp in zip(p.support, p.probs(), p.logp)
     ]
-    with _output(m["out"]) as stream:
-        _write_table(
-            stream, resolved, ["k", "prob", "log_prob"], rows, m["format"], m["timestamp"]
-        )
-    return 0
+    return _emit(m, resolved, ["k", "prob", "log_prob"], rows)
 
 
 def _cmd_simulate(m: dict) -> int:
@@ -347,9 +343,7 @@ def _cmd_simulate(m: dict) -> int:
         z = simulate_endpoints(model, n, reps, seed)
         columns = ["replicate", "z_n"]
         rows = list(enumerate(z.tolist()))
-    with _output(m["out"]) as stream:
-        _write_table(stream, resolved, columns, rows, m["format"], m["timestamp"])
-    return 0
+    return _emit(m, resolved, columns, rows)
 
 
 def _cmd_verify(m: dict) -> int:

@@ -323,23 +323,17 @@ def certify_real_rooted(poly: ExactPoly) -> RootReport:
     coeffs = coeffs[mult:]
     cof_deg = len(coeffs) - 1
     if cof_deg == 0:
-        return RootReport(
-            certified=True,
-            zero_root_multiplicity=mult,
-            cofactor_degree=0,
-            distinct_negative_roots=0,
-            all_negative_simple=True,
-            monomial=True,
-            note="monomial: all mass at one state (stationary prefix)",
-        )
-    neg, squarefree = (cof_deg, True) if _alternates(coeffs) else _negative_roots(coeffs)
-    ok = squarefree and neg == cof_deg
+        neg, ok, note = 0, True, "monomial: all mass at one state (stationary prefix)"
+    else:
+        neg, squarefree = (cof_deg, True) if _alternates(coeffs) else _negative_roots(coeffs)
+        ok = squarefree and neg == cof_deg
+        note = "" if ok else "cofactor has complex, positive, or repeated roots"
     return RootReport(
         certified=ok,
         zero_root_multiplicity=mult,
         cofactor_degree=cof_deg,
         distinct_negative_roots=neg,
         all_negative_simple=ok,
-        monomial=False,
-        note="" if ok else "cofactor has complex, positive, or repeated roots",
+        monomial=cof_deg == 0,
+        note=note,
     )

@@ -98,6 +98,8 @@ def local_cost(t: float, x: float, y: float, alpha: float) -> float:
         raise ValueError("t must lie in (0, 1]")
     if not 0.0 <= y <= 1.0:
         raise ValueError("y must lie in [0, 1]")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be finite and > 0")
     u = alpha * t
     if x < 0.0 or x > u:
         raise ValueError(f"x must lie in [0, alpha t] = [0, {u}]")
@@ -135,8 +137,8 @@ def path_rate(phi: PathFunction, alpha: float) -> float:
     the logs of three affine functions of t, each integrated by
     `_mean_log`.  +inf as soon as one piece leaves the admissible cone,
     lingers on the zero line or rides the upper boundary."""
-    if not alpha > 0:
-        raise ValueError("alpha must be > 0")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("alpha must be finite and > 0")
     dt = np.diff(phi.knots)
     y = np.clip(phi.slopes(), 0.0, 1.0)
     # phi(0) = 0 exactly (PathFunction allows it _SLOPE_TOL of play)

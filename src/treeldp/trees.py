@@ -235,8 +235,8 @@ def _recursive(kind: str) -> tuple:
 
 
 def _pa(beta: float) -> tuple:
-    if beta <= -1:
-        raise ValueError("beta must be > -1")
+    if not -1 < beta < math.inf:
+        raise ValueError("beta must be finite and > -1")
     return 6, _PA + (1.0 + float(beta),), partial(_unhit, base=2)
 
 
@@ -246,6 +246,8 @@ def _grow_batch(grower: tuple, seed: int, n: int, reps: int, record_all: bool) -
     record_all."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
     stream, law, count = grower
     rng = make_generator(seed, _STREAM_TREES, stream)
     out = np.empty((reps, n) if record_all else reps, dtype=np.int64)
@@ -293,9 +295,7 @@ def grow_pa_graph(
     among buds.  This realizes the counting chain exactly and coincides
     with plain preferential attachment when gamma == 1.
     """
-    grower = _pa(beta)  # refuses beta <= -1 in either mode
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    grower = _pa(beta)  # checks beta in either mode
     if multi_edge_pmf is None:
         tgt, result = _grow_one(grower, f"pa:beta={beta:g}", seed, n, return_structure)
         if return_structure:
@@ -440,8 +440,6 @@ def batch_pa_buds(
     two-stage target selection that realizes the chain exactly.  The bud
     count moves only with the stage-1 bud-vs-non-bud coin, so the vertex
     bookkeeping of stage 2 is marginalized out: one walker coin a step."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     gv, gp = _coerce_pmf(gamma_pmf)
     slopes = RandomizedPASlope(beta, gv, gp, seed if env_seed is None else env_seed)
     svals = slopes.values_float(max(n - 1, 1)).tolist()
@@ -456,8 +454,6 @@ def bud_lln_endpoints(
     the bud-vs-non-bud selections, so the vertex bookkeeping is
     marginalized out exactly; the chain walker steps each replicate on its
     own slopes, drawn a block of steps at a time."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     # validates beta and the gamma pmf as batch_pa_buds does
     env = RandomizedPASlope(beta, *_coerce_pmf(gamma_pmf), seed)
     b = float(env.beta)

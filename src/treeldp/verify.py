@@ -70,6 +70,13 @@ class CheckResult:
         )
 
 
+def _mean_check(criterion: int, name: str, frac: np.ndarray, target: float) -> CheckResult:
+    """The sample mean of `frac` within 3 standard errors of `target`."""
+    se = float(np.std(frac, ddof=1)) / math.sqrt(len(frac))
+    dev = abs(float(np.mean(frac)) - target)
+    return CheckResult(criterion, name, dev / se, 3.0, detail=f"mean={np.mean(frac):.6f} se={se:.2e}")
+
+
 def _lambda_grid() -> list[float]:
     # [-5, 5] step 0.1, excluding the origin where the residual is 0/0
     return [i * 0.1 for i in range(-50, 51) if i != 0]
@@ -138,18 +145,7 @@ def criterion_3(seed: int = DEFAULT_SEED) -> list[CheckResult]:
         ("Yule cherries", batch_yule_cherries(n, reps, seed), 1 / 3),
     ]
     for name, stat, target in runs:
-        frac = stat / n
-        se = float(np.std(frac, ddof=1)) / math.sqrt(reps)
-        dev = abs(float(np.mean(frac)) - target)
-        out.append(
-            CheckResult(
-                3,
-                f"mean of {name} -> {target:.4g}",
-                dev / se,
-                3.0,
-                detail=f"mean={np.mean(frac):.6f} se={se:.2e}",
-            )
-        )
+        out.append(_mean_check(3, f"mean of {name} -> {target:.4g}", stat / n, target))
     for preset, target in (("plane_oriented", 1 / 9), ("yule", 2 / 45)):
         rep = verify_clt(model_from_name(preset), 10_000, 10_000, seed)
         out.append(
@@ -297,19 +293,9 @@ def criterion_8(seed: int = DEFAULT_SEED) -> list[CheckResult]:
                 detail=f"worst step n={steps[int(tv.argmax())]}",
             )
         )
-    n, reps_lln = 16_000, 1000
-    z = bud_lln_endpoints(0.0, ((1, 2), (0.5, 0.5)), n, reps_lln, seed)
-    frac = z / n
-    se = float(np.std(frac, ddof=1)) / math.sqrt(reps_lln)
-    out.append(
-        CheckResult(
-            8,
-            "quenched bud LLN -> 3/4",
-            abs(float(np.mean(frac)) - 0.75) / se,
-            3.0,
-            detail=f"mean={np.mean(frac):.6f} se={se:.2e}",
-        )
-    )
+    n = 16_000
+    z = bud_lln_endpoints(0.0, ((1, 2), (0.5, 0.5)), n, 1000, seed)
+    out.append(_mean_check(8, "quenched bud LLN -> 3/4", z / n, 0.75))
     return out
 
 

@@ -2,6 +2,7 @@
 agreement in distribution with the counting chain."""
 
 import re
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -10,7 +11,9 @@ import pytest
 from treeldp import chain, dist, trees
 from treeldp import (
     DEFAULT_SEED,
+    LinearSlope,
     ModelSpec,
+    PrefAttachSlope,
     RandomizedPASlope,
     batch_pa_buds,
     batch_pa_leaves,
@@ -23,6 +26,7 @@ from treeldp import (
     grow_stirling,
     grow_yule,
     model_from_name,
+    simulate_endpoints,
     tv_against_chain,
     verify_clt,
 )
@@ -98,6 +102,102 @@ def test_grower_validation():
         for run in (bud_lln_endpoints, batch_pa_buds):
             with pytest.raises(ValueError, match=msg):
                 run(0.0, gamma, 50, 4, 1)
+
+
+# --------------------------------------------- exact laws by enumeration
+# Every history of each combinatorial object, grown by its own rule and
+# weighted with exact Fractions, with the statistic counted on the object
+# itself: its law is the chain's exact_poly, coefficient for coefficient.
+
+
+def _recursive_moves(children, plane):
+    # attach a new vertex to v with weight 1, or children + 1 when plane
+    return [(children[:v] + (c + 1,) + children[v + 1 :] + (0,), c + 1 if plane else 1)
+            for v, c in enumerate(children)]
+
+
+def _yule_moves(parents):
+    # split a leaf (a node no other node names as its parent) into two
+    return [(parents + (leaf, leaf), 1) for leaf in range(len(parents)) if leaf not in parents]
+
+
+def _cherries_of(parents):
+    kids = [[i for i, p in enumerate(parents) if p == node] for node in range(len(parents))]
+    return sum(len(k) == 2 and not kids[k[0]] and not kids[k[1]] for k in kids)
+
+
+def _stirling_moves(code):
+    # insert the pair of the next label into one of the 2k + 1 gaps
+    a = len(code) // 2 + 1
+    return [(code[:g] + (a, a) + code[g:], 1) for g in range(len(code) + 1)]
+
+
+ENUMERATED = {
+    # name: (start, moves, statistic, chain preset, chain step of the start)
+    "uniform leaves": ((0,), partial(_recursive_moves, plane=False),
+                       lambda ch: ch.count(0), "uniform", 1),
+    "plane-oriented leaves": ((0,), partial(_recursive_moves, plane=True),
+                              lambda ch: ch.count(0), "plane_oriented", 1),
+    "Yule cherries": ((-1,), _yule_moves, _cherries_of, "yule", 1),
+    "Stirling plateaux": ((1, 1), _stirling_moves,
+                          lambda code: sum(a == b for a, b in zip(code, code[1:])), "plane_oriented", 2),
+}
+
+
+@pytest.mark.parametrize("start, moves, stat, preset, first", ENUMERATED.values(), ids=list(ENUMERATED))
+def test_every_history_reproduces_the_exact_chain_law(start, moves, stat, preset, first):
+    model = model_from_name(preset)
+    level = [(start, Fraction(1))]
+    # uniform, plane-oriented and Yule trees up to n = 7, Stirling up to 6 labels
+    for n in range(first, 8):
+        want = dist.exact_poly(model, n).coeffs
+        law = [Fraction(0)] * len(want)
+        for obj, p in level:
+            law[stat(obj)] += p
+        assert tuple(law) == want, n
+        grown = []
+        for obj, p in level:
+            options = moves(obj)
+            total = sum(w for _, w in options)
+            grown += [(nxt, p * Fraction(w, total)) for nxt, w in options]
+        level = grown
+
+
+# Every public batch function and walker, and the slope constructors, with
+# one argument out of its domain: each refuses with a ValueError that names
+# that argument, never a bare numpy error, a ZeroDivisionError or a value.
+SIZED = {
+    "batch_recursive_leaves": partial(batch_recursive_leaves, "uniform"),
+    "batch_pa_leaves": partial(batch_pa_leaves, 0.0),
+    "batch_yule_cherries": batch_yule_cherries,
+    "batch_stirling_plateaux": batch_stirling_plateaux,
+    "batch_pa_buds": partial(batch_pa_buds, 0.0, GAMMA_HALF),
+    "bud_lln_endpoints": partial(bud_lln_endpoints, 0.0, GAMMA_HALF),
+    "simulate_endpoints": partial(simulate_endpoints, model_from_name("plane_oriented")),
+    "verify_clt": partial(verify_clt, model_from_name("plane_oriented")),
+}
+BETA_TAKERS = {
+    "batch_pa_leaves": lambda beta: batch_pa_leaves(beta, 10, 5),
+    "grow_pa_graph": lambda beta: grow_pa_graph(beta, 10),
+    "grow_pa_graph buds": lambda beta: grow_pa_graph(beta, 10, multi_edge_pmf=GAMMA_HALF),
+    "batch_pa_buds": lambda beta: batch_pa_buds(beta, GAMMA_HALF, 10, 5),
+    "PrefAttachSlope": PrefAttachSlope,
+}
+REFUSALS = (
+    [(f"{name} n={n}", partial(run, n, 5), "n") for name, run in SIZED.items() for n in (0, -4)]
+    + [(f"{name} reps={r}", partial(run, 10, r), "reps") for name, run in SIZED.items() for r in (0, -1)]
+    + [(f"{name} beta={b}", partial(run, b), "beta")
+       for name, run in BETA_TAKERS.items() for b in (np.nan, np.inf, -1.0)]
+    + [(f"gamma weight {w}", partial(batch_pa_buds, 0.0, {1: w, 2: 0.5}, 10, 5), "gamma")
+       for w in (np.nan, np.inf)]
+    + [(f"LinearSlope({a})", partial(LinearSlope, a), "alpha") for a in (np.nan, np.inf)]
+)
+
+
+@pytest.mark.parametrize("run, arg", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS])
+def test_out_of_domain_arguments_are_refused_by_name(run, arg):
+    with pytest.raises(ValueError, match=rf"\b{arg}\b"):
+        run()
 
 
 # ------------------------------------------------------- structure recounts
