@@ -77,10 +77,13 @@ def make_generator(seed: int, *stream: int) -> np.random.Generator:
 
 
 def _as_number(x, arg: str) -> Fraction | float:
-    """Keep rationals exact; leave non-rational floats alone; refuse the
-    non-finite ones, naming the argument `arg`."""
+    """Keep rationals exact; leave non-rational floats alone; refuse values
+    that are not finite doubles, naming the argument `arg`."""
     if isinstance(x, (int, Fraction, str)):
-        return Fraction(x)
+        x = Fraction(x)
+        if abs(x) > np.finfo(float).max:
+            raise ValueError(f"{arg} must fit in a double, |{arg}| <= 1.8e308")
+        return x
     if isinstance(x, float):
         if not math.isfinite(x):
             raise ValueError(f"{arg} must be finite, got {x}")
@@ -200,8 +203,9 @@ class RandomizedPASlope:
         if any(v < 1 for v in vals):
             raise ValueError("gamma values must be positive integers")
         probs = np.asarray(self.gamma_probs, dtype=float)
-        if len(probs) != len(vals) or not (np.all(probs >= 0) and 0 < probs.sum() < math.inf):
-            raise ValueError("gamma pmf needs matching nonnegative weights")
+        with np.errstate(over="ignore"):  # an overflowing sum is refused, not warned about
+            if len(probs) != len(vals) or not (np.all(probs >= 0) and 0 < probs.sum() < math.inf):
+                raise ValueError("gamma pmf needs matching nonnegative weights with a finite sum")
         probs = probs / probs.sum()
         object.__setattr__(self, "gamma_values", vals)
         object.__setattr__(self, "gamma_probs", tuple(probs.tolist()))
@@ -336,32 +340,24 @@ def model_from_name(name: str) -> ModelSpec:
     name = name.strip()
     if name in _PRESET_PLAIN:
         return _PRESET_PLAIN[name]()
-    if ":" not in name:
+    head, colon, body = name.partition(":")
+    if not colon or head not in ("pa", "pref_attach", "linear", "rpa"):
         raise ValueError(f"unknown model preset {name!r}")
-    head, body = name.split(":", 1)
     kv = _parse_kv(body)
     try:
-        if head in ("pa", "pref_attach"):
-            beta = Fraction(kv.pop("beta"))
-            if kv:
-                raise ValueError(f"unexpected keys {sorted(kv)} for pa preset")
-            return ModelSpec(PrefAttachSlope(beta), 2)
         if head == "linear":
-            alpha = Fraction(kv.pop("alpha"))
-            k0 = int(kv.pop("k0", "1"))
-            if kv:
-                raise ValueError(f"unexpected keys {sorted(kv)} for linear preset")
-            return ModelSpec(LinearSlope(alpha), k0)
-        if head == "rpa":
+            slopes, k0 = LinearSlope(Fraction(kv.pop("alpha"))), int(kv.pop("k0", "1"))
+        elif head == "rpa":
             beta = Fraction(kv.pop("beta"))
             gv, gp = _parse_gamma_pmf(kv.pop("gamma"))
-            seed = int(kv.pop("seed"))
-            if kv:
-                raise ValueError(f"unexpected keys {sorted(kv)} for rpa preset")
-            return ModelSpec(RandomizedPASlope(beta, gv, gp, seed), 2)
+            slopes, k0 = RandomizedPASlope(beta, gv, gp, int(kv.pop("seed"))), 2
+        else:
+            slopes, k0 = PrefAttachSlope(Fraction(kv.pop("beta"))), 2
     except KeyError as exc:
         raise ValueError(f"preset {name!r} is missing key {exc}") from exc
-    raise ValueError(f"unknown model preset {name!r}")
+    if kv:
+        raise ValueError(f"unexpected keys {sorted(kv)} for {head} preset")
+    return ModelSpec(slopes, k0)
 
 
 def _reachable(k0: int, s: np.ndarray, first: int = 1) -> np.ndarray:

@@ -202,8 +202,6 @@ def exact_poly(model: ModelSpec, n: int) -> ExactPoly:
     den = 1
     for m in range(1, n):
         s = model.slopes.value(m)
-        if not isinstance(s, Fraction):
-            raise ValueError("exact_poly needs rational slope values")
         p, q = s.numerator, s.denominator
         if (len(num) - 1) * q > p:
             over = [k for k, c in enumerate(num) if c and k * q > p]

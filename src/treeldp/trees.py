@@ -35,6 +35,7 @@ from . import dist
 from .chain import (
     DEFAULT_SEED,
     ModelSpec,
+    PrefAttachSlope,
     RandomizedPASlope,
     _ahead,
     _reachable,
@@ -260,17 +261,15 @@ def _grow_batch(grower: tuple, seed: int, n: int, reps: int, record_all: bool) -
 
 def _grow_one(
     grower: tuple, model: str, seed: int, n: int, structure: bool
-) -> tuple[np.ndarray, GrowthResult]:
-    """The targets and the result of `_grow_batch` at reps = 1; with
-    `structure`, every copy is resolved to the vertex it hits."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    stream, law, count = grower
-    rng = make_generator(seed, _STREAM_TREES, stream)
-    tgt, nvert = next(_targets(rng, 1, n - 1, *law, resolve=structure))
-    stat = np.empty(1, dtype=np.int64)
-    count(tgt, nvert, stat)
-    return tgt[0], GrowthResult(model, n, int(stat[0]), seed)
+) -> tuple[np.ndarray | None, GrowthResult]:
+    """The result of `_grow_batch` at reps = 1 and, with `structure`, its
+    targets redrawn with every copy resolved to the vertex it hits."""
+    result = GrowthResult(model, n, int(_grow_batch(grower, seed, n, 1, False)[0]), seed)
+    if not structure:
+        return None, result
+    stream, law, _ = grower
+    tgt, _ = next(_targets(make_generator(seed, _STREAM_TREES, stream), 1, n - 1, *law, resolve=True))
+    return tgt[0], result
 
 
 # ------------------------------------------------------------- single runs
@@ -287,7 +286,7 @@ def grow_pa_graph(
     new vertex with weight deg + beta; returns the leaf count, or with
     multi_edge_pmf the bud count under the quenched multi-edge model.
     Either mode is its batch grower at reps = 1 (batch_pa_leaves,
-    batch_pa_buds).
+    batch_pa_buds), refusals included.
 
     Bud selection is two-stage: the count grows when the chain's coin
     picks a non-bud, with probability 1 - Z_n/s_n, and only the structure
@@ -295,9 +294,8 @@ def grow_pa_graph(
     among buds.  This realizes the counting chain exactly and coincides
     with plain preferential attachment when gamma == 1.
     """
-    grower = _pa(beta)  # checks beta in either mode
     if multi_edge_pmf is None:
-        tgt, result = _grow_one(grower, f"pa:beta={beta:g}", seed, n, return_structure)
+        tgt, result = _grow_one(_pa(beta), PrefAttachSlope(beta).label(), seed, n, return_structure)
         if return_structure:
             degrees = 1 + np.bincount(tgt, minlength=n + 1)
             edges = [(0, 1, 1)] + [(m + 1, int(t), 1) for m, t in enumerate(tgt, 1)]
@@ -432,16 +430,14 @@ def batch_pa_buds(
     n: int,
     reps: int,
     seed: int = DEFAULT_SEED,
-    env_seed: int | None = None,
     record_all: bool = False,
 ) -> np.ndarray:
     """Bud counts of `reps` quenched multigraphs sharing one gamma
-    environment (drawn from env_seed, defaulting to seed), with the
-    two-stage target selection that realizes the chain exactly.  The bud
-    count moves only with the stage-1 bud-vs-non-bud coin, so the vertex
-    bookkeeping of stage 2 is marginalized out: one walker coin a step."""
-    gv, gp = _coerce_pmf(gamma_pmf)
-    slopes = RandomizedPASlope(beta, gv, gp, seed if env_seed is None else env_seed)
+    environment drawn from `seed`, with the two-stage target selection
+    that realizes the chain exactly.  The bud count moves only with the
+    stage-1 bud-vs-non-bud coin, so the vertex bookkeeping of stage 2 is
+    marginalized out: one walker coin a step."""
+    slopes = RandomizedPASlope(beta, *_coerce_pmf(gamma_pmf), seed)
     svals = slopes.values_float(max(n - 1, 1)).tolist()
     return _walk(make_generator(seed, _STREAM_TREES, _BUDS), 2, n, reps, svals, record_all)
 

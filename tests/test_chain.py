@@ -76,6 +76,32 @@ def test_model_parsing_errors():
         model_from_name("rpa:beta=0,gamma=1-0.5,seed=1")
 
 
+def test_each_preset_rule_is_checked_once():
+    # a head's own parameter rule comes first, then one leftover-key check
+    # that names the head as written
+    with pytest.raises(ValueError, match="beta > -1"):
+        model_from_name("pa:beta=-1,foo=1")
+    for name in ("pa:beta=0", "pref_attach:beta=0", "linear:alpha=2", "rpa:beta=0,gamma=1@1,seed=1"):
+        head = name.split(":")[0]
+        with pytest.raises(ValueError, match=rf"unexpected keys \['foo'\] for {head} preset"):
+            model_from_name(f"{name},foo=1")
+    for name in ("nosuch", "nosuch:beta=0", "pa"):
+        with pytest.raises(ValueError, match="unknown model preset"):
+            model_from_name(name)
+    with pytest.raises(ValueError, match="missing key 'alpha'"):
+        model_from_name("linear:k0=1")
+
+
+def test_float_affine_slope_takes_the_float_path():
+    slopes = AffineSlope(1.5, 0.25, "f")
+    assert not slopes.is_rational
+    assert slopes.values_float(50).tolist() == [1.5 * n + 0.25 for n in range(1, 51)]
+    model = ModelSpec(slopes, 1)
+    assert abs(dist.pmf(model, 50).probs().sum() - 1.0) <= 1e-12
+    with pytest.raises(ValueError, match="needs rational slope values"):
+        dist.exact_poly(model, 10)
+
+
 def test_modelspec_validation():
     with pytest.raises(ValueError):
         ModelSpec(LinearSlope(Fraction(1, 2)), 2)  # k0 > s_1

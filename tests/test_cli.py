@@ -302,6 +302,13 @@ def test_pmf_inadmissible_model_exits_2(capsys, model, n, err):
     assert got == f"error: {err}\n"
 
 
+@pytest.mark.parametrize("model, arg", [("linear:alpha=1e400", "alpha"), ("pa:beta=-1e400", "beta")])
+def test_pmf_slope_parameter_beyond_a_double_exits_2(capsys, model, arg):
+    rc, out, err = run_cli(capsys, "pmf", "--model", model, "--n", "3")
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {arg} ") and len(err) < 100
+
+
 # ----------------------------------------------------------------- simulate
 
 

@@ -11,6 +11,7 @@ import pytest
 from treeldp import chain, dist, trees
 from treeldp import (
     DEFAULT_SEED,
+    AffineSlope,
     LinearSlope,
     ModelSpec,
     PrefAttachSlope,
@@ -191,6 +192,10 @@ REFUSALS = (
     + [(f"gamma weight {w}", partial(batch_pa_buds, 0.0, {1: w, 2: 0.5}, 10, 5), "gamma")
        for w in (np.nan, np.inf)]
     + [(f"LinearSlope({a})", partial(LinearSlope, a), "alpha") for a in (np.nan, np.inf)]
+    # rationals too large for a double
+    + [("LinearSlope(10**400)", partial(LinearSlope, 10**400), "alpha"),
+       ("PrefAttachSlope(Fraction(10**400))", partial(PrefAttachSlope, Fraction(10**400)), "beta"),
+       ("AffineSlope(1, 10**400)", partial(AffineSlope, 1, 10**400, "x"), "b")]
 )
 
 
@@ -198,6 +203,15 @@ REFUSALS = (
 def test_out_of_domain_arguments_are_refused_by_name(run, arg):
     with pytest.raises(ValueError, match=rf"\b{arg}\b"):
         run()
+
+
+def test_overflowing_gamma_weights_are_refused_without_a_warning():
+    # the weights are finite, their sum is not; the refusal comes before any
+    # RuntimeWarning (which the test configuration turns into an error)
+    with pytest.raises(ValueError, match="nonnegative weights with a finite sum"):
+        RandomizedPASlope(0, (1, 2), (1e308, 1e308), 1)
+    with pytest.raises(ValueError, match="nonnegative weights"):
+        model_from_name("rpa:beta=0,gamma=1@1e308+2@1e308,seed=1")
 
 
 # ------------------------------------------------------- structure recounts
@@ -342,6 +356,15 @@ def test_single_run_is_replicate_zero_of_its_batch(label, single, batch):
             assert single(n, seed).statistic == batch(n, 1, seed)[0], (label, n, seed)
 
 
+def test_pa_graph_takes_a_rational_beta_and_labels_it_as_the_preset():
+    for s in (0, 1, 7):
+        result = grow_pa_graph(Fraction(1, 2), 10, s)
+        assert result.model == model_from_name("pa:beta=1/2").label()
+        assert result.statistic == batch_pa_leaves(Fraction(1, 2), 10, 1, s)[0]
+    assert grow_pa_graph(1.0, 10).model == model_from_name("pa:beta=1").label() == "pa:beta=1"
+    assert grow_pa_graph(-0.5, 10).model == "pa:beta=-0.5"
+
+
 # ------------------------------------------------------------ batch kernel
 
 # (label, grower(n, reps, seed, record_all), preset, chain step of size n)
@@ -362,7 +385,8 @@ BATCH_GROWERS = [
     ("stirling", lambda n, r, s, rec: batch_stirling_plateaux(n, r, s, rec), "plane_oriented", 1),
     (
         "buds",
-        lambda n, r, s, rec: batch_pa_buds(0.0, GAMMA_HALF, n, r, s, env_seed=13, record_all=rec),
+        # the environment is drawn from the seed, so seed 13 keeps the preset's chain
+        lambda n, r, s, rec: batch_pa_buds(0.0, GAMMA_HALF, n, r, 13, record_all=rec),
         "rpa:beta=0,gamma=1@0.5+2@0.5,seed=13",
         0,
     ),
@@ -599,7 +623,7 @@ def test_stirling_plateaux_match_plane_chain():
 
 def test_bud_batch_matches_quenched_chain():
     reps = 30000
-    stats = batch_pa_buds(0.0, GAMMA_HALF, 8, reps, seed=99, env_seed=13)
+    stats = batch_pa_buds(0.0, GAMMA_HALF, 8, reps, seed=13)
     model = model_from_name("rpa:beta=0,gamma=1@0.5+2@0.5,seed=13")
     tv = tv_against_chain(stats.reshape(-1, 1), model, [8])
     assert tv[0] <= 0.02
