@@ -19,12 +19,21 @@ and hands them the slopes with s = 0 read as +inf, so 1 - z/s is the
 up-probability everywhere: a refusal does not depend on the seed or on
 the number of replicates.
 
-simulate steps one path in a scalar loop; every vectorized simulation of
-the chain (simulate_endpoints, the bud counts in trees) steps on _walk.
-Its uniforms, and the growers' in trees, come a block at a time through
-_ahead, which draws the next block on a worker thread while the caller
-steps through the current one: numpy releases the GIL while it fills an
-array, so the draws, most of a walk's time, overlap the stepping.
+Every simulation of the chain takes one coin per replicate and step, a
+32-bit integer U uniform on 0 .. 2^32 - 1 (_coins), and moves the state z
+up at slope s when U < T = (s - z)*(2^32/s) (_coin_scale, _threshold).
+s - z is 0 exactly when z = s, so a state at its slope never moves up,
+whatever its coin.  The law of a step is P(up) = ceil(T)/2^32, within
+2^-32 of 1 - z/s apart from T's own rounding (below 2^-51), so a walk of
+n steps is within n*2^-32 of the chain's law in total variation.
+simulate steps one path in a scalar loop; every vectorized simulation
+(simulate_endpoints, the bud counts in trees) steps on _walk, so that
+simulate's path ends where simulate_endpoints' walk of one replicate
+does.  The coins, and the growers' uniforms in trees, come a block at a
+time through _ahead, which draws the next block on a worker thread while
+the caller steps through the current one: numpy releases the GIL while it
+fills an array, so the draws, most of a walk's time, overlap the
+stepping.
 """
 
 from __future__ import annotations
@@ -61,9 +70,12 @@ DEFAULT_SEED = 20260819
 # and the chain draws never share randomness
 _STREAM_ENV = 101
 _STREAM_SIM = 202
-# uniforms per block of chain-walker steps (1 MiB): few enough handoffs
-# to _ahead's worker that the overlap pays
+# coins per block of chain-walker steps (drawn as 512 KiB of 32-bit
+# halves, held as 1 MiB of doubles): few enough handoffs to _ahead's worker
+# that the overlap pays; 1 << 18 walks no faster
 _SIM_BLOCK = 1 << 17
+# a coin is uniform on the integers 0 .. 2^32 - 1
+_COINS = 2.0**32
 
 # integers below this magnitude are exact doubles
 _EXACT_INT = 2**53
@@ -80,7 +92,10 @@ def _as_number(x, arg: str) -> Fraction | float:
     """Keep rationals exact; leave non-rational floats alone; refuse values
     that are not finite doubles, naming the argument `arg`."""
     if isinstance(x, (int, Fraction, str)):
-        x = Fraction(x)
+        try:
+            x = Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{arg} has a zero denominator, got {x!r}") from None
         if abs(x) > np.finfo(float).max:
             raise ValueError(f"{arg} must fit in a double, |{arg}| <= 1.8e308")
         return x
@@ -94,16 +109,16 @@ def _as_number(x, arg: str) -> Fraction | float:
     raise TypeError(f"unsupported numeric type {type(x)!r}")
 
 
-def _exact_quotient(numerator, bound: int, den: int, n_max: int) -> np.ndarray:
-    """float(numerator(n) / den) for n = 1..n_max, correctly rounded.
+def _exact_quotient(numerator, bound: int, den: int, *ints: np.ndarray) -> np.ndarray:
+    """float(numerator(*ints) / den), correctly rounded.
 
-    `numerator` maps an integer array of n to integers below `bound` in
+    `numerator` maps the integer arrays `ints` to integers below `bound` in
     magnitude.  When bound and den fit in 53 bits both are exact doubles
     and one float division rounds correctly; beyond that Python's exact
     integer division does the rounding, element by element."""
-    exact = bound < _EXACT_INT and den < _EXACT_INT
-    n = np.arange(1, n_max + 1, dtype=np.int64 if exact else object)
-    return np.asarray(numerator(n) / den, dtype=float)
+    if not (bound < _EXACT_INT and den < _EXACT_INT):
+        ints = [a.astype(object) for a in ints]
+    return np.asarray(numerator(*ints) / den, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -136,7 +151,8 @@ class AffineSlope:
         # s_n = (P n + Q) / D with integers P, Q, D, rounded once
         d = math.lcm(self.a.denominator, self.b.denominator)
         p, q = int(self.a * d), int(self.b * d)
-        return _exact_quotient(lambda n: p * n + q, abs(p) * n_max + abs(q), d, n_max)
+        n = np.arange(1, n_max + 1)
+        return _exact_quotient(lambda n: p * n + q, abs(p) * n_max + abs(q), d, n)
 
     def label(self) -> str:
         return self.name
@@ -244,15 +260,20 @@ class RandomizedPASlope:
         return (2 + 2 * csum + (n + 1) * self.beta) / (1 + self.beta)
 
     def values_float(self, n_max: int) -> np.ndarray:
-        cs = self._cum(n_max)[:n_max]
+        return self.slopes_float(np.arange(1, n_max + 1), self._cum(n_max)[:n_max])
+
+    def slopes_float(self, n: np.ndarray, cum: np.ndarray) -> np.ndarray:
+        """float s_n for integer arrays of steps n and of the gamma sums
+        cum = sum_{i<n} gamma_i (broadcast together), for this environment
+        or any other drawn from the same pmf: correctly rounded when beta
+        is rational, one float division otherwise."""
         if not self.is_rational:
-            n = np.arange(1, n_max + 1, dtype=np.int64)
             b = float(self.beta)
-            return (2 + 2.0 * cs + (n + 1) * b) / (1.0 + b)
-        # beta = p/q: s_n = [q (2 + 2 cs) + p (n+1)] / (p+q), rounded once
+            return (2 + 2.0 * cum + (n + 1) * b) / (1.0 + b)
+        # beta = p/q: s_n = [q (2 + 2 cum) + p (n+1)] / (p+q), rounded once
         p, q = self.beta.numerator, self.beta.denominator
-        bound = q * (2 + 2 * int(cs.max(initial=0))) + abs(p) * (n_max + 1)
-        return _exact_quotient(lambda n: q * (2 + 2 * cs.astype(n.dtype)) + p * (n + 1), bound, p + q, n_max)
+        bound = q * (2 + 2 * int(cum.max(initial=0))) + abs(p) * (int(n.max(initial=0)) + 1)
+        return _exact_quotient(lambda n, c: q * (2 + 2 * c) + p * (n + 1), bound, p + q, n, cum)
 
     def label(self) -> str:
         pmf = "+".join(f"{v}@{p:g}" for v, p in zip(self.gamma_values, self.gamma_probs))
@@ -346,13 +367,13 @@ def model_from_name(name: str) -> ModelSpec:
     kv = _parse_kv(body)
     try:
         if head == "linear":
-            slopes, k0 = LinearSlope(Fraction(kv.pop("alpha"))), int(kv.pop("k0", "1"))
+            slopes, k0 = LinearSlope(kv.pop("alpha")), int(kv.pop("k0", "1"))
         elif head == "rpa":
-            beta = Fraction(kv.pop("beta"))
+            beta = _as_number(kv.pop("beta"), "beta")
             gv, gp = _parse_gamma_pmf(kv.pop("gamma"))
             slopes, k0 = RandomizedPASlope(beta, gv, gp, int(kv.pop("seed"))), 2
         else:
-            slopes, k0 = PrefAttachSlope(Fraction(kv.pop("beta"))), 2
+            slopes, k0 = PrefAttachSlope(kv.pop("beta")), 2
     except KeyError as exc:
         raise ValueError(f"preset {name!r} is missing key {exc}") from exc
     if kv:
@@ -390,19 +411,17 @@ def _reachable(k0: int, s: np.ndarray, first: int = 1) -> np.ndarray:
 
 
 def simulate(model: ModelSpec, n: int, seed: int = DEFAULT_SEED) -> Trajectory:
-    """Full path Z_1..Z_n; deterministic given seed."""
+    """Full path Z_1..Z_n; deterministic given seed.  _walk's chain for one
+    replicate, stepped in a scalar loop on the same coins and thresholds."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = make_generator(seed, _STREAM_SIM)
-    svals = _reachable(model.k0, model.slopes.values_float(max(n - 1, 1)))
-    vals = np.empty(n, dtype=np.int64)
+    svals = _reachable(model.k0, model.slopes.values_float(max(n - 1, 1)))[: n - 1]
+    coins = _coins(make_generator(seed, _STREAM_SIM))((n - 1,))
     z = model.k0
-    vals[0] = z
-    u = rng.random(n - 1) if n > 1 else np.empty(0)
-    for j in range(1, n):
-        if u[j - 1] < 1.0 - z / svals[j - 1]:
-            z += 1
-        vals[j] = z
+    vals = [z]
+    for u, s, scale in zip(coins.tolist(), svals.tolist(), _coin_scale(svals).tolist()):
+        z += u < _threshold(s, scale, z)
+        vals.append(z)
     return Trajectory(model, vals, seed)
 
 
@@ -425,16 +444,55 @@ def _ahead(draw, sizes):
         yield nxt.result()
 
 
+def _coins(rng: np.random.Generator):
+    """draw(size): chain coins, uniform on the integers 0 .. 2^32 - 1 and
+    held as doubles, from the 32-bit halves of rng's 64-bit Philox words,
+    low half first.  Reading the words in little-endian byte order takes
+    the low half first on every machine, and the half-word a draw leaves
+    over starts the next one, so the coins are the stream of
+    rng.integers(0, 2**32, dtype=np.uint32) however it is split into
+    draws.  The raw words cost about two thirds of that call; the cast to
+    double is on the drawing thread, so the stepping compares doubles."""
+    spare = np.empty(0, dtype=np.uint32)
+
+    def draw(size):
+        nonlocal spare
+        k = math.prod(size)
+        words = rng.bit_generator.random_raw((k - len(spare) + 1) // 2)
+        coins = np.concatenate([spare, words.astype("<u8", copy=False).view("<u4")])
+        spare = coins[k:]
+        return coins[:k].reshape(size).astype(float)
+
+    return draw
+
+
+def _coin_scale(s):
+    """2^32/s for slopes s.  A slope of +inf (a zero slope, as _reachable
+    hands it over) gets the smallest positive double in place of 0, so
+    that its threshold is +inf, a certain step, and not inf*0 = nan."""
+    return np.maximum(_COINS / s, np.finfo(float).smallest_subnormal)
+
+
+def _threshold(s, scale, z):
+    """T = (s - z)*scale with scale = _coin_scale(s), for numbers or
+    arrays: the state z at slope s moves up when its coin U < T.  Never
+    2^32 - z*scale, which leaves T > 0 at z = s."""
+    return (s - z) * scale
+
+
 def _walk(rng: np.random.Generator, k0: int, n: int, reps: int, slopes, record: bool = False) -> np.ndarray:
     """Z_n of the chain from Z_1 = k0 for `reps` replicates, or with
-    `record` Z_1..Z_n, shape (reps, n).  Step j moves up when its uniform
-    u < 1 - z/s_j.  The uniforms come `rows` steps at a time through
-    _ahead, the same stream as one rng.random(reps) per step, and `slopes`
-    is the list s_1..s_{n-1} every replicate shares, or a function of
-    `rows` yielding per-replicate blocks of shape (rows, reps).  No
-    reachable state may exceed its slope and no slope may be 0:
-    simulate_endpoints passes its slopes through _reachable, and the bud
-    slopes in trees grow faster than the states can."""
+    `record` Z_1..Z_n, shape (reps, n).  Step j moves up when its coin
+    U < T = (s_j - z)*(2^32/s_j), so P(up) = ceil(T)/2^32, within 2^-32
+    of 1 - z/s_j apart from T's own rounding, and the walk's law is within
+    (n - 1)*2^-32 of the chain's in total variation.  The coins come
+    `rows` steps at a time through _ahead, the same stream as one
+    rng.integers(0, 2**32, reps, dtype=np.uint32) per step, and `slopes`
+    is the sequence s_1..s_{n-1} every replicate shares, or a function of
+    `rows` yielding per-replicate blocks of shape (rows, reps).  No reachable state may exceed its slope
+    and no slope may be 0: simulate and simulate_endpoints pass their
+    slopes through _reachable, and the bud slopes in trees grow faster
+    than the states can."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if reps < 1:
@@ -446,20 +504,19 @@ def _walk(rng: np.random.Generator, k0: int, n: int, reps: int, slopes, record: 
         blocks = (slopes[i : i + rows] for i in range(0, n - 1, rows))
     sizes = [(min(rows, n - 1 - i), reps) for i in range(0, n - 1, rows)]
     # the states as doubles, stepped in place: each count is an integer
-    # below 2^53, so z / s is the same double an int64 state would give
+    # below 2^53, so s - z is the same double an int64 state would give
     z = np.full(reps, float(k0))
-    p = np.empty(reps)
     up = np.empty(reps, dtype=bool)
     path = np.full((reps, n), k0, dtype=np.int64) if record else None
-    with closing(_ahead(rng.random, sizes)) as draws:
-        steps = (step for block, u in zip(blocks, draws) for step in zip(u, block))
-        for j, (u_j, s) in enumerate(steps, 1):
-            np.divide(z, s, out=p)
-            np.subtract(1.0, p, out=p)
-            np.less(u_j, p, out=up)
-            z += up
-            if record:
-                path[:, j] = z
+    j = 0
+    with closing(_ahead(_coins(rng), sizes)) as draws:
+        for block, u in zip(blocks, draws):
+            for u_j, s, scale in zip(u, block, _coin_scale(np.asarray(block))):
+                np.less(u_j, _threshold(s, scale, z), out=up)
+                z += up
+                j += 1
+                if record:
+                    path[:, j] = z
     return path if record else z.astype(np.int64)
 
 
@@ -467,7 +524,7 @@ def simulate_endpoints(
     model: ModelSpec, n: int, reps: int, seed: int = DEFAULT_SEED
 ) -> np.ndarray:
     """Z_n over `reps` independent replicates (vectorized)."""
-    svals = _reachable(model.k0, model.slopes.values_float(max(n - 1, 1))).tolist()
+    svals = _reachable(model.k0, model.slopes.values_float(max(n - 1, 1)))
     return _walk(make_generator(seed, _STREAM_SIM), model.k0, n, reps, svals)
 
 

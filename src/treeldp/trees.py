@@ -452,7 +452,6 @@ def bud_lln_endpoints(
     own slopes, drawn a block of steps at a time."""
     # validates beta and the gamma pmf as batch_pa_buds does
     env = RandomizedPASlope(beta, *_coerce_pmf(gamma_pmf), seed)
-    b = float(env.beta)
     gv_arr = np.array(env.gamma_values)
     cum_p = np.cumsum(env.gamma_probs)
     cum_p /= cum_p[-1]
@@ -475,7 +474,7 @@ def bud_lln_endpoints(
             g = gv_arr[idx]
             before = np.cumsum(g, axis=0) - g + cum_gamma
             cum_gamma = before[-1] + g[-1]
-            yield (2 + 2.0 * before + (m + 1) * b) / (1.0 + b)
+            yield env.slopes_float(m, before)
 
     return _walk(make_generator(seed, _STREAM_TREES, 11), 2, n, reps, slopes)
 

@@ -223,18 +223,18 @@ def test_simulate_endpoints_refuses_inadmissible_model():
 
 
 def _simulate_endpoints_reference(model, n, reps, seed):
-    """The endpoint walk before its draws were blocked: one rng.random(reps)
-    and one full state check per step."""
+    """The endpoint walk one step at a time: one 32-bit coin U per
+    replicate and step, drawn by rng.integers, and one full state check
+    per step.  A state moves up when U < (s - z)*(2^32/s), surely at s = 0."""
     rng = make_generator(seed, chain._STREAM_SIM)
     svals = model.slopes.values_float(max(n - 1, 1))
     z = np.full(reps, model.k0, dtype=np.int64)
     for j in range(1, n):
         s = svals[j - 1]
-        p = np.where(z == 0, 1.0, 1.0 - z / s)
-        worst = int(np.argmin(p))
-        if p[worst] < 0:
-            raise ValueError(f"state {z[worst]} exceeds slope {s} at step {j}")
-        z += rng.random(reps) < p
+        if np.any(z > s):
+            raise ValueError(f"state {z.max()} exceeds slope {s} at step {j}")
+        u = rng.integers(0, 2**32, reps, dtype=np.uint32)
+        z += u < (s - z) * (2**32 / s) if s > 0 else 1
     return z
 
 
@@ -247,10 +247,12 @@ WALK_PRESETS = [
 @pytest.mark.parametrize("preset", WALK_PRESETS)
 def test_simulate_endpoints_equals_the_per_step_walk(preset):
     m = model_from_name(preset)
-    # reps = 3000 takes 43 steps per block, reps = 1 the whole walk;
-    # n = 10000 with 2000 replicates is the benchmark's shape
+    # reps = 3000 takes 43 steps per block, reps = 1 the whole walk, and
+    # reps = 9 14563 steps, an odd number of coins, so that its first block
+    # leaves half a Philox word to the second; n = 10000 with 2000
+    # replicates is the benchmark's shape
     for n, reps, seed in ((1, 4, 0), (2, 5, 1), (300, 1, 2), (700, 3000, 3), (2000, 300, 4),
-                          (10_000, 2000, 5)):
+                          (10_000, 2000, 5), (20_000, 9, 6)):
         want = _simulate_endpoints_reference(m, n, reps, seed)
         got = simulate_endpoints(m, n, reps, seed)
         assert got.dtype == np.int64
@@ -356,6 +358,69 @@ def test_a_zero_first_slope_is_a_certain_step_up():
     # the E Z_n that verify_clt subtracts takes the same certain first step
     mean = simulate_endpoints(m, n, 2000, seed=2) - clt.clt_stat_sample * math.sqrt(n)
     assert np.allclose(mean, np.dot(exact, np.arange(n)), rtol=1e-12, atol=0)
+
+
+# every slope sequence of the coin-law tests: the walker presets and
+# linear alpha = p/q with q <= 12
+LAW_SLOPES = [model_from_name(p).slopes for p in WALK_PRESETS] + [
+    LinearSlope(a) for a in sorted({Fraction(p, q) for q in range(1, 13) for p in range(1, 2 * q + 1)})
+]
+
+
+def test_the_coin_law_is_within_2_to_the_minus_32_of_the_chain():
+    # P(up) = ceil(T)/2^32 of the walker's own threshold, at every state
+    # 0 <= z <= s_j of every step j < 40, against the exact 1 - z/s_j
+    bound = Fraction(1, 2**32) + Fraction(1, 2**52)
+    worst = Fraction(0)
+    for slopes in LAW_SLOPES:
+        sf = slopes.values_float(39)
+        for j, s in enumerate(sf, 1):
+            exact = slopes.value(j)
+            z = np.arange(math.floor(exact) + 1, dtype=float)
+            s_walk = np.inf if s == 0 else s  # as _reachable hands a zero slope over
+            t = chain._threshold(s_walk, chain._coin_scale(s_walk), z)
+            ups = np.minimum(np.ceil(t), 2**32).astype(np.int64).tolist()
+            if exact == math.floor(exact) > 0:
+                assert ups[-1] == 0, (slopes.label(), j)  # a state at its slope stays
+            for zi, up in enumerate(ups):
+                want = 1 - Fraction(zi) / exact if exact else Fraction(1)
+                worst = max(worst, abs(Fraction(up, 2**32) - want))
+    assert worst <= bound
+
+
+class _FixedCoins:
+    """A generator whose every 64-bit word is `word`: both of its 32-bit
+    coins are word's halves."""
+
+    def __init__(self, word):
+        self.bit_generator = self
+        self.word = word
+
+    def random_raw(self, size):
+        return np.full(size, self.word, dtype=np.uint64)
+
+
+def test_no_coin_moves_a_state_past_its_slope():
+    # U = 0 at every step moves each state below its slope up, which walks
+    # the highest reachable path; U = 2^32 - 1 moves only where a step is
+    # certain.  Neither may take a state above its slope.  n = 100 reaches
+    # the state 49 at the slope 49, where 2^32 - z*(2^32/s) is not 0
+    walked = 0
+    for slopes in LAW_SLOPES:
+        exact = [slopes.value(j) for j in range(1, 101)]
+        for k0 in range(min(3, math.floor(exact[0])) + 1):
+            try:
+                svals = chain._reachable(k0, slopes.values_float(99))
+            except ValueError:
+                continue
+            top = [k0]
+            for s in exact[:-1]:
+                top.append(top[-1] + (top[-1] < s or s == 0))
+            assert all(z <= s for z, s in zip(top, exact))
+            low, high = (chain._walk(_FixedCoins(word), k0, 100, 2, svals, record=True) for word in (2**64 - 1, 0))
+            assert np.all(high == top) and np.all(low <= high), (slopes.label(), k0)
+            walked += 1
+    assert walked >= 50
 
 
 def test_walker_steps_shared_and_per_replicate_slopes_alike():

@@ -309,6 +309,14 @@ def test_pmf_slope_parameter_beyond_a_double_exits_2(capsys, model, arg):
     assert err.startswith(f"error: {arg} ") and len(err) < 100
 
 
+@pytest.mark.parametrize("model, arg", [("pa:beta=1/0", "beta"), ("linear:alpha=1/0", "alpha"),
+                                        ("rpa:beta=1/0,gamma=1@1,seed=1", "beta")])
+def test_pmf_zero_denominator_exits_2(capsys, model, arg):
+    rc, out, err = run_cli(capsys, "pmf", "--model", model, "--n", "3")
+    assert rc == 2 and out == ""
+    assert err == f"error: {arg} has a zero denominator, got '1/0'\n"
+
+
 # ----------------------------------------------------------------- simulate
 
 
@@ -348,12 +356,12 @@ def test_simulate_streams_are_pinned(capsys):
     assert rc == 0
     _, header, rows = csv_body(out)
     assert header == ["step", "z"]
-    assert [int(r[1]) for r in rows] == [1, 1, 2, 2, 2, 3, 4, 5, 6, 6, 6, 7]
+    assert [int(r[1]) for r in rows] == [1, 1, 2, 2, 3, 4, 4, 5, 5, 6, 7, 8]
     rc, out, _ = run_cli(capsys, *base, "--reps", "3")
     assert rc == 0
     _, header, rows = csv_body(out)
     assert header == ["replicate", "z_n"]
-    assert rows == [["0", "5"], ["1", "9"], ["2", "9"]]
+    assert rows == [["0", "10"], ["1", "7"], ["2", "8"]]
 
 
 def test_simulate_inadmissible_model_exits_2(capsys):

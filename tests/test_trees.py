@@ -196,6 +196,7 @@ REFUSALS = (
     + [("LinearSlope(10**400)", partial(LinearSlope, 10**400), "alpha"),
        ("PrefAttachSlope(Fraction(10**400))", partial(PrefAttachSlope, Fraction(10**400)), "beta"),
        ("AffineSlope(1, 10**400)", partial(AffineSlope, 1, 10**400, "x"), "b")]
+    + [("LinearSlope('1/0')", partial(LinearSlope, "1/0"), "alpha")]
 )
 
 
@@ -629,6 +630,12 @@ def test_bud_batch_matches_quenched_chain():
     assert tv[0] <= 0.02
 
 
+def _coin_up(rng, z, s):
+    """The chain's step from states z at slopes s > 0, by its own rule:
+    one 32-bit coin U per replicate, up when U < (s - z)*(2^32/s)."""
+    return rng.integers(0, 2**32, len(z), dtype=np.uint32) < (s - z) * (2**32 / s)
+
+
 def _two_stage_buds(beta, gamma_pmf, n, reps, seed, record_all=False):
     """The full two-stage bud sampler, vertex bookkeeping and all: a bud
     target with probability Z/s, otherwise a non-bud by weight deg + beta."""
@@ -648,7 +655,7 @@ def _two_stage_buds(beta, gamma_pmf, n, reps, seed, record_all=False):
     out[:, 0] = z
     for m in range(1, n):
         g = int(gammas[m - 1])
-        pick_bud = ~(rng.random(reps) < 1.0 - z / svals[m - 1])
+        pick_bud = ~_coin_up(rng, z, svals[m - 1])
         w_bud = np.where(is_bud[:, : m + 1], 1.0, 0.0)
         w_non = np.where(is_bud[:, : m + 1], 0.0, degrees[:, : m + 1] + beta)
         cum = np.cumsum(np.where(pick_bud[:, None], w_bud, w_non), axis=1)
@@ -676,8 +683,7 @@ def test_bud_batch_equals_two_stage_sampler(beta, seed):
 
 
 def _batch_pa_buds_reference(beta, gamma_pmf, n, reps, seed, record_all=False):
-    """batch_pa_buds before it stepped on the chain walker, one
-    rng.random(reps) per step, with the walker's comparison."""
+    """batch_pa_buds one step at a time, one coin per replicate and step."""
     gv, gp = zip(*sorted(gamma_pmf.items()))
     svals = RandomizedPASlope(beta, gv, gp, seed).values_float(max(n - 1, 1))
     rng = make_generator(seed, _STREAM_TREES, 9)
@@ -685,14 +691,14 @@ def _batch_pa_buds_reference(beta, gamma_pmf, n, reps, seed, record_all=False):
     out = np.empty((reps, n), dtype=np.int64)
     out[:, 0] = z
     for m in range(1, n):
-        z += rng.random(reps) < 1.0 - z / svals[m - 1]
+        z += _coin_up(rng, z, svals[m - 1])
         out[:, m] = z
     return out if record_all else z
 
 
 def _bud_lln_reference(beta, gamma_pmf, n, reps, seed):
-    """bud_lln_endpoints before its environment was drawn in blocks: one
-    environment and one chain draw per step, with the walker's comparison."""
+    """bud_lln_endpoints one step at a time: one environment draw and one
+    coin per replicate and step."""
     gv, gp = zip(*sorted(gamma_pmf.items()))
     gv_arr = np.array(gv)
     cum_p = np.cumsum(np.asarray(gp, dtype=float))
@@ -704,18 +710,19 @@ def _bud_lln_reference(beta, gamma_pmf, n, reps, seed):
     dG1, vG1 = 2, 2
     for m in range(1, n):
         s = (dG1 + 2.0 * cum_gamma + (m - 1 + vG1) * beta) / (1.0 + beta)
-        z += sim_rng.random(reps) < 1.0 - z / s
+        z += _coin_up(sim_rng, z, s)
         cum_gamma += gv_arr[np.searchsorted(cum_p, env_rng.random(reps))]
     return z
 
 
 # the walker's block shrunk so that every shape below costs little:
 # (n, reps): reps = 1 walks _SMALL_BLOCK steps per block (one block, then
-# two), reps >= _SMALL_BLOCK one step per block, and reps = 30 34 steps
-# per block with a ragged last block
+# two), reps >= _SMALL_BLOCK one step per block, reps = 30 34 steps per
+# block with a ragged last block, and reps = 3 341 steps per block, an odd
+# number of coins, so that each block leaves half a Philox word to the next
 _SMALL_BLOCK = 1 << 10
 WALKER_SHAPES = ((1, 3), (2, 1), (200, 1), (_SMALL_BLOCK + 10, 1), (40, _SMALL_BLOCK),
-                 (7, _SMALL_BLOCK + 50), (200, 30))
+                 (7, _SMALL_BLOCK + 50), (200, 30), (700, 3))
 
 
 @pytest.fixture
@@ -745,6 +752,25 @@ def test_bud_lln_equals_the_per_step_walk(beta):
             got = bud_lln_endpoints(beta, gamma, n, reps, seed)
             assert got.dtype == np.int64
             assert np.array_equal(got, want), (gamma, n, reps, seed)
+
+
+def test_bud_lln_slopes_are_correctly_rounded_at_a_rational_beta(monkeypatch):
+    # each per-replicate slope the walker gets is the double nearest the
+    # exact s_m = (2 + 2 cum + (m+1) beta)/(1 + beta) of its gamma sum cum
+    beta = Fraction(1, 3)
+    blocks = []
+
+    def walk(rng, k0, n, reps, slopes):
+        blocks.extend(row for block in slopes(50) for row in block)
+        return np.zeros(reps, dtype=np.int64)
+
+    monkeypatch.setattr(trees, "_walk", walk)
+    bud_lln_endpoints(beta, GAMMA_HALF, 201, 10, seed=1)
+    assert len(blocks) == 200
+    for m, row in enumerate(blocks, 1):
+        for s in row.tolist():
+            cum = round((Fraction(s) * (1 + beta) - 2 - (m + 1) * beta) / 2)
+            assert s == float((2 + 2 * cum + (m + 1) * beta) / (1 + beta)), (m, s)
 
 
 def test_bud_single_run_with_structure_is_its_batch_of_one():
