@@ -412,16 +412,21 @@ def _reachable(k0: int, s: np.ndarray, first: int = 1) -> np.ndarray:
 
 def simulate(model: ModelSpec, n: int, seed: int = DEFAULT_SEED) -> Trajectory:
     """Full path Z_1..Z_n; deterministic given seed.  _walk's chain for one
-    replicate, stepped in a scalar loop on the same coins and thresholds."""
+    replicate, stepped in a scalar loop on the same coins and thresholds,
+    _SIM_BLOCK steps at a time as Python numbers."""
     if n < 1:
         raise ValueError("n must be >= 1")
     svals = _reachable(model.k0, model.slopes.values_float(max(n - 1, 1)))[: n - 1]
-    coins = _coins(make_generator(seed, _STREAM_SIM))((n - 1,))
-    z = model.k0
-    vals = [z]
-    for u, s, scale in zip(coins.tolist(), svals.tolist(), _coin_scale(svals).tolist()):
-        z += u < _threshold(s, scale, z)
-        vals.append(z)
+    draw = _coins(make_generator(seed, _STREAM_SIM))
+    vals = np.empty(n, dtype=np.int64)
+    z = vals[0] = model.k0
+    for i in range(0, n - 1, _SIM_BLOCK):
+        s = svals[i : i + _SIM_BLOCK]
+        block = []
+        for u, s_j, scale in zip(draw(s.shape).tolist(), s.tolist(), _coin_scale(s).tolist()):
+            z += u < _threshold(s_j, scale, z)
+            block.append(z)
+        vals[i + 1 : i + 1 + len(block)] = block
     return Trajectory(model, vals, seed)
 
 
@@ -452,16 +457,20 @@ def _coins(rng: np.random.Generator):
     over starts the next one, so the coins are the stream of
     rng.integers(0, 2**32, dtype=np.uint32) however it is split into
     draws.  The raw words cost about two thirds of that call; the cast to
-    double is on the drawing thread, so the stepping compares doubles."""
+    double, written straight into the block, is on the drawing thread, so
+    the stepping compares doubles."""
     spare = np.empty(0, dtype=np.uint32)
 
     def draw(size):
         nonlocal spare
-        k = math.prod(size)
-        words = rng.bit_generator.random_raw((k - len(spare) + 1) // 2)
-        coins = np.concatenate([spare, words.astype("<u8", copy=False).view("<u4")])
-        spare = coins[k:]
-        return coins[:k].reshape(size).astype(float)
+        coins = np.empty(size)
+        flat = coins.reshape(-1)
+        k = flat.size - len(spare)
+        halves = rng.bit_generator.random_raw((k + 1) // 2).astype("<u8", copy=False).view("<u4")
+        flat[: len(spare)] = spare
+        flat[len(spare) :] = halves[:k]
+        spare = halves[k:].copy()
+        return coins
 
     return draw
 
