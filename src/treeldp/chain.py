@@ -244,20 +244,31 @@ class RandomizedPASlope:
             rng = make_generator(self.seed, _STREAM_ENV)
             # geometric growth keeps a value(n) loop to n at O(log n) redraws
             need = max(count, 64 if have is None else 2 * len(have))
-            draws = rng.choice(np.array(self.gamma_values), size=need, p=np.array(self.gamma_probs))
-            have = draws.astype(np.int64)
+            have = self._gamma_of(rng.random(need))
             self._cache["gammas"] = have
             self._cache["cumsum"] = np.concatenate([[0], np.cumsum(have)])
         return have[:count]
+
+    def _gamma_of(self, u: np.ndarray) -> np.ndarray:
+        """Gamma values of uniforms u in [0, 1): atom i for the i cumulative
+        weights at or below u, numpy's choice rule (no zero-weight atom)."""
+        cdf = np.cumsum(self.gamma_probs)
+        cdf /= cdf[-1]
+        idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(cdf)))
+        for c in cdf[:-1]:  # u < 1 = cdf[-1]
+            idx += u >= c
+        return np.array(self.gamma_values, dtype=np.int64)[idx]
 
     def _cum(self, count: int) -> np.ndarray:
         self.gammas(count)
         return self._cache["cumsum"]
 
+    def _slope(self, n, cum):
+        # exact for integers n, cum and a Fraction beta; one float division otherwise
+        return (2 + 2 * cum + (n + 1) * self.beta) / (1 + self.beta)
+
     def value(self, n: int) -> Fraction | float:
-        csum = int(self._cum(max(n - 1, 1))[n - 1])
-        # exact when beta is a Fraction, one float division otherwise
-        return (2 + 2 * csum + (n + 1) * self.beta) / (1 + self.beta)
+        return self._slope(n, int(self._cum(max(n - 1, 1))[n - 1]))
 
     def values_float(self, n_max: int) -> np.ndarray:
         return self.slopes_float(np.arange(1, n_max + 1), self._cum(n_max)[:n_max])
@@ -268,8 +279,7 @@ class RandomizedPASlope:
         or any other drawn from the same pmf: correctly rounded when beta
         is rational, one float division otherwise."""
         if not self.is_rational:
-            b = float(self.beta)
-            return (2 + 2.0 * cum + (n + 1) * b) / (1.0 + b)
+            return self._slope(n, cum)
         # beta = p/q: s_n = [q (2 + 2 cum) + p (n+1)] / (p+q), rounded once
         p, q = self.beta.numerator, self.beta.denominator
         bound = q * (2 + 2 * int(cum.max(initial=0))) + abs(p) * (int(n.max(initial=0)) + 1)
@@ -369,9 +379,9 @@ def model_from_name(name: str) -> ModelSpec:
         if head == "linear":
             slopes, k0 = LinearSlope(kv.pop("alpha")), int(kv.pop("k0", "1"))
         elif head == "rpa":
-            beta = _as_number(kv.pop("beta"), "beta")
-            gv, gp = _parse_gamma_pmf(kv.pop("gamma"))
-            slopes, k0 = RandomizedPASlope(beta, gv, gp, int(kv.pop("seed"))), 2
+            beta = kv.pop("beta")
+            gamma = _parse_gamma_pmf(kv.pop("gamma"))
+            slopes, k0 = RandomizedPASlope(beta, *gamma, int(kv.pop("seed"))), 2
         else:
             slopes, k0 = PrefAttachSlope(kv.pop("beta")), 2
     except KeyError as exc:

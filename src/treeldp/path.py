@@ -26,6 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
+from .pressure import mean_slope, sigma_sq
+
 __all__ = [
     "PathFunction",
     "EulerSolution",
@@ -223,13 +225,13 @@ def euler_solve(alpha: float, x_target: float) -> EulerSolution:
         raise ValueError("euler_solve requires alpha > 1")
     if not 0.0 < x_target < 1.0:
         raise ValueError("x_target must lie in (0, 1)")
-    lln = alpha / (alpha + 1.0)
+    lln = mean_slope(alpha)
     gap = x_target - lln
     if gap == 0.0:
         return EulerSolution(alpha, x_target, PathFunction(_KNOTS, lln * _KNOTS), 0.0,
                              shoot_param=lln, endpoint=x_target)
     # unstable eigenvector (eigenvalue 1/alpha) of the LLN point: du = kappa dp
-    kappa = alpha * alpha / ((alpha + 1.0) ** 2 * (alpha + 2.0))
+    kappa = sigma_sq(alpha)
     share = min(0.5, math.exp(-_LAUNCH_SPAN / alpha))
     p0 = math.copysign(min(_LAUNCH_P, abs(gap) / kappa * share), gap)
     c = lln + kappa * p0

@@ -18,6 +18,7 @@ ode_residual stays a genuine check; the closed forms for alpha in
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from scipy.special import digamma, expn, hyp2f1, zeta
@@ -53,6 +54,13 @@ _LN3 = math.log(3.0)
 # e^(-2 pi alpha), is within 1e-14 from alpha = 10 on.
 _ALPHA_LARGE = 20.0
 _TINY = 1e-17  # relative size of the last series term kept
+# For small alpha, Lambda ~ alpha lambda is what is left of lambda - log f0
+# in the hyp2f1 band, so its relative error grows like 1e-14/alpha: against
+# mpmath on lambda in [-30, 30], 8e-13 at alpha = 1e-2, 1.04e-10 at 1e-4
+# (lambda = -2.2745), 7e-10 at 1e-5; below 2^-53 the log series divides by 0
+_ALPHA_MIN = 1e-4
+# e^lambda overflows a double above log(DBL_MAX) ~ 709.78
+_LAMBDA_MAX = math.log(sys.float_info.max)
 
 
 def mean_slope(alpha: float) -> float:
@@ -67,13 +75,16 @@ def sigma_sq(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class PressureEval:
-    """Evaluator configuration: the slope alpha of s_n ~ alpha n."""
+    """Evaluator configuration: the slope alpha >= 1e-4 of s_n ~ alpha n."""
 
     alpha: float
 
     def __post_init__(self):
         if not 0.0 < self.alpha < math.inf:
             raise ValueError("alpha must be finite and > 0")
+        if self.alpha < _ALPHA_MIN:
+            raise ValueError(f"alpha must be >= {_ALPHA_MIN:g} (Lambda's relative error grows like "
+                             f"1e-14/alpha), got {self.alpha}")
 
     @property
     def scope(self) -> str:
@@ -266,6 +277,8 @@ def _general(alpha: float, lam: float) -> tuple[float, float, float]:
     """(Lambda, Lambda', Lambda''): exact constants at lambda = 0."""
     if not math.isfinite(lam):
         raise ValueError("lambda must be finite")
+    if lam > _LAMBDA_MAX:
+        raise ValueError(f"lambda must be <= {_LAMBDA_MAX:.2f}, where e^lambda overflows, got {lam}")
     if lam == 0.0:
         return 0.0, mean_slope(alpha), sigma_sq(alpha)
     large = alpha > _ALPHA_LARGE

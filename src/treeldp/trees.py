@@ -86,13 +86,13 @@ class StatReport:
     ks_distance: float
 
 
-def _coerce_pmf(pmf_like) -> tuple[tuple[int, ...], tuple[float, ...]]:
+def _coerce_pmf(pmf_like) -> tuple:
     if isinstance(pmf_like, dict):
         vals = tuple(sorted(pmf_like))
         probs = tuple(float(pmf_like[v]) for v in vals)
         return vals, probs
-    vals, probs = pmf_like
-    return tuple(int(v) for v in vals), tuple(float(p) for p in probs)
+    vals, probs = pmf_like  # RandomizedPASlope coerces and checks the pair
+    return vals, probs
 
 
 # ---------------------------------------------------------- first-hit kernel
@@ -226,6 +226,8 @@ def _cherries(tgt: np.ndarray, nvert: int, out: np.ndarray) -> None:
 _YULE = (7, _UNIFORM, _cherries)
 _STIRLING = (8, _GAPS, partial(_unhit, base=1, odd=True))
 _BUDS = 9  # sub-stream of the bud chain's coins, one uniform per step
+_BUD_LLN_ENV = 10  # sub-stream of bud_lln_endpoints' gammas, one per replicate and step
+_BUD_LLN_COINS = 11  # sub-stream of bud_lln_endpoints' chain coins
 _BUD_TARGETS = 12  # sub-stream of the single run's target uniforms
 
 
@@ -452,10 +454,7 @@ def bud_lln_endpoints(
     own slopes, drawn a block of steps at a time."""
     # validates beta and the gamma pmf as batch_pa_buds does
     env = RandomizedPASlope(beta, *_coerce_pmf(gamma_pmf), seed)
-    gv_arr = np.array(env.gamma_values)
-    cum_p = np.cumsum(env.gamma_probs)
-    cum_p /= cum_p[-1]
-    env_rng = make_generator(seed, _STREAM_TREES, 10)
+    env_rng = make_generator(seed, _STREAM_TREES, _BUD_LLN_ENV)
 
     def slopes(rows):
         # one gamma per replicate and step; s_m reads the gammas of the
@@ -465,18 +464,12 @@ def bud_lln_endpoints(
         cum_gamma = np.zeros(reps, dtype=np.int64)
         for first in range(1, n, rows):
             m = np.arange(first, min(first + rows, n))[:, None]
-            u = env_rng.random((len(m), reps))
-            # searchsorted(cum_p, u): the weights below u, counted one
-            # comparison at a time (u < 1 = cum_p[-1])
-            idx = np.zeros(u.shape, dtype=np.min_scalar_type(len(cum_p)))
-            for c in cum_p[:-1]:
-                idx += u > c
-            g = gv_arr[idx]
+            g = env._gamma_of(env_rng.random((len(m), reps)))
             before = np.cumsum(g, axis=0) - g + cum_gamma
             cum_gamma = before[-1] + g[-1]
             yield env.slopes_float(m, before)
 
-    return _walk(make_generator(seed, _STREAM_TREES, 11), 2, n, reps, slopes)
+    return _walk(make_generator(seed, _STREAM_TREES, _BUD_LLN_COINS), 2, n, reps, slopes)
 
 
 # ------------------------------------------------------------ stat harnesses

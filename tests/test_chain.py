@@ -120,6 +120,22 @@ def test_quenched_sequence_reproducible():
     assert not np.array_equal(a.gammas(40), c.gammas(40))
 
 
+@pytest.mark.parametrize("gv, gp", [((1, 2), (0.5, 0.5)), ((1, 2, 3, 5), (0.0, 0.3, 0.0, 0.7)),
+                                    ((1, 4, 9), (0.2, 1 / 3, 0.1))])
+def test_quenched_gammas_are_numpy_choice_on_the_environment_stream(gv, gp):
+    s = RandomizedPASlope(0, gv, gp, 5)
+    rng = chain.make_generator(5, chain._STREAM_ENV)
+    want = rng.choice(np.array(gv), size=4096, p=np.array(s.gamma_probs))
+    np.testing.assert_array_equal(s.gammas(4096), want)
+
+
+def test_gamma_rule_counts_the_cumulative_weights_at_or_below_u():
+    # a tie moves on to the next atom, so a zero-weight atom is never drawn
+    s = RandomizedPASlope(0, (1, 2, 3), (0.0, 0.5, 0.5), 1)
+    got = s._gamma_of(np.array([0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)]))
+    np.testing.assert_array_equal(got, [2, 2, 3, 3, 3])
+
+
 def test_quenched_cache_grows_geometrically(monkeypatch):
     made = []
     real = chain.make_generator

@@ -104,6 +104,20 @@ def test_missing_alpha_and_model_exit_2(capsys):
     assert rc == 2 and "alpha" in err
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("--alpha", "2", "--lambda-grid", "710"),
+     "lambda must be <= 709.78, where e^lambda overflows, got 710.0"),
+    (("--alpha", "1e-300"),
+     "alpha must be >= 0.0001 (Lambda's relative error grows like 1e-14/alpha), got 1e-300"),
+])
+def test_pressure_outside_the_route_exits_2(capsys, argv, err):
+    # e^lambda overflows above log(DBL_MAX); below the alpha floor Lambda
+    # loses its relative precision, and below 2^-53 the series divided by 0
+    rc, out, got = run_cli(capsys, "pressure", *argv)
+    assert rc == 2 and out == ""
+    assert got == f"error: {err}\n"
+
+
 # --------------------------------------------------------------------- rate
 
 
@@ -519,6 +533,17 @@ def test_installed_entry_point():
     assert proc.returncode == 0
     assert proc.stdout.startswith("# config: ")
     assert "lambda,pressure,dpressure,ode_residual" in proc.stdout
+
+
+@pytest.mark.parametrize("module", ["chain", "dist", "pressure", "path", "trees"])
+def test_the_package_exports_every_public_name_of_its_modules(module):
+    import importlib
+
+    import treeldp
+
+    mod = importlib.import_module(f"treeldp.{module}")
+    for name in mod.__all__:
+        assert getattr(treeldp, name, None) is getattr(mod, name), name
 
 
 def test_the_package_imports_neither_mpmath_nor_scipy_stats():

@@ -4,6 +4,7 @@ function."""
 
 import importlib
 import math
+import sys
 
 import pytest
 from scipy.optimize import brentq
@@ -196,6 +197,42 @@ def test_method_scope_and_validation():
         PressureEval(-1.0)
     with pytest.raises(ValueError, match="finite"):
         PressureEval(math.inf)
+    # below the floor Lambda's relative error passes 1e-10; below 2^-53
+    # the log series divided by zero
+    for alpha in (9.99e-5, 2.0**-60, 1e-300):
+        with pytest.raises(ValueError, match=r"alpha must be >= 0\.0001 "):
+            PressureEval(alpha)
+
+
+# Lambda at alpha = 1e-4, the floor, from 60-digit mpmath:
+# -log 2F1(1, alpha; alpha + 1; 1 - e^lambda); lambda = -2.2745 is the worst
+# point of a 5e-4 grid on [-3, -0.5], where Lambda is 1.04e-10 off
+SMALL_ALPHA_LAMBDA = [
+    (-30.0, -0.0029954925808564504),
+    (-5.0, -0.00049985900704931218),
+    (-2.2745, -0.00022741121654760079),
+    (-1.0, -9.9987226759457442e-5),
+    (0.5, 4.9995590727005302e-5),
+    (2.0, 0.000199987861560564),
+    (5.0, 0.0004999839563041081),
+    (30.0, 0.0029999835506592776),
+]
+
+
+@pytest.mark.parametrize("lam, want", SMALL_ALPHA_LAMBDA)
+def test_pressure_at_the_alpha_floor_against_mpmath(lam, want):
+    assert pressure(PressureEval(1e-4), lam) == pytest.approx(want, rel=2e-10, abs=0)
+
+
+def test_lambda_above_log_dbl_max_is_refused_by_name():
+    ev = PressureEval(2.0)
+    top = math.log(sys.float_info.max)
+    assert math.isfinite(pressure(ev, top))
+    for fn in (pressure, pressure_derivatives, ode_residual):
+        with pytest.raises(ValueError, match=r"lambda must be <= 709\.78, "):
+            fn(ev, math.nextafter(top, math.inf))
+        with pytest.raises(ValueError, match="lambda must be <= 709.78, where e.lambda overflows, got 710.0"):
+            fn(ev, 710.0)
 
 
 def test_hypergeometric_route_agrees_on_general_alpha():

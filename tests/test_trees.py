@@ -698,7 +698,8 @@ def _batch_pa_buds_reference(beta, gamma_pmf, n, reps, seed, record_all=False):
 
 def _bud_lln_reference(beta, gamma_pmf, n, reps, seed):
     """bud_lln_endpoints one step at a time: one environment draw and one
-    coin per replicate and step."""
+    coin per replicate and step, the draw taking numpy's choice rule
+    (searchsorted right on the normalised cumulative weights)."""
     gv, gp = zip(*sorted(gamma_pmf.items()))
     gv_arr = np.array(gv)
     cum_p = np.cumsum(np.asarray(gp, dtype=float))
@@ -711,7 +712,7 @@ def _bud_lln_reference(beta, gamma_pmf, n, reps, seed):
     for m in range(1, n):
         s = (dG1 + 2.0 * cum_gamma + (m - 1 + vG1) * beta) / (1.0 + beta)
         z += _coin_up(sim_rng, z, s)
-        cum_gamma += gv_arr[np.searchsorted(cum_p, env_rng.random(reps))]
+        cum_gamma += gv_arr[np.searchsorted(cum_p, env_rng.random(reps), side="right")]
     return z
 
 
