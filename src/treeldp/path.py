@@ -45,6 +45,9 @@ _SLOPE_TOL = 1e-9
 # log-time on the manifold before t = 1 and the launch error dies out.
 _LAUNCH_P = 1e-3
 _LAUNCH_SPAN = 20.0
+# A solve costs about 0.2 ms per unit of alpha (2 s at 1e4, 6 s at 3e4 on
+# a 2-core x86-64 machine), so euler_solve refuses alpha above this
+_ALPHA_MAX = 1e4
 
 
 @dataclass(frozen=True)
@@ -220,9 +223,13 @@ def _project_admissible(knots: np.ndarray, values: np.ndarray) -> np.ndarray:
 def euler_solve(alpha: float, x_target: float) -> EulerSolution:
     """Optimal trajectory hitting phi(1) = x_target: one integration along
     the branch of the unstable manifold that heads for x_target, stopped
-    where u = x_target.  The LLN target is the straight line at cost 0."""
+    where u = x_target.  The LLN target is the straight line at cost 0.
+    Takes 1 < alpha <= _ALPHA_MAX = 1e4."""
     if not alpha > 1.0:
         raise ValueError("euler_solve requires alpha > 1")
+    if alpha > _ALPHA_MAX:
+        raise ValueError(f"euler_solve takes time linear in alpha and refuses alpha > {_ALPHA_MAX:g}; "
+                         f"got alpha={alpha!r}")
     if not 0.0 < x_target < 1.0:
         raise ValueError("x_target must lie in (0, 1)")
     lln = mean_slope(alpha)

@@ -69,7 +69,11 @@ def mean_slope(alpha: float) -> float:
 
 
 def sigma_sq(alpha: float) -> float:
-    """CLT variance alpha^2 / ((1+alpha)^2 (2+alpha))."""
+    """CLT variance alpha^2 / ((1+alpha)^2 (2+alpha)).  Above 1e100, where
+    the denominator (about alpha^3) overflows from 5.6e102, it is 1/alpha
+    to a relative 4e-100."""
+    if alpha > 1e100:
+        return 1.0 / alpha
     return alpha * alpha / ((1.0 + alpha) ** 2 * (2.0 + alpha))
 
 

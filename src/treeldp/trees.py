@@ -18,7 +18,9 @@ structure.  Each single run (grow_*) is its batch grower at reps = 1, with
 the structure rebuilt from the resolved targets on request.
 Bud counts step on chain.py's walker instead, and the bud single run
 rebuilds its multigraph from the walker's recorded path.  The TV harness
-bins every column of a record_all output into one histogram.
+bins every column of a record_all output into one histogram, a block of
+rows at a time; criterion 8 of verify.py bins each grower block as it is
+counted, so it never holds the reps x n table.
 """
 
 from __future__ import annotations
@@ -243,22 +245,42 @@ def _pa(beta: float) -> tuple:
     return 6, _PA + (1.0 + float(beta),), partial(_unhit, base=2)
 
 
+def _grow_blocks(grower: tuple, seed: int, n: int, reps: int, out: np.ndarray | None = None):
+    """Count the grower's statistic for `reps` replicates, one block of at
+    most _BLOCK draws at a time, and yield each block as it is counted:
+    into its rows of `out`, shape (reps,) at size n or (reps, n) at every
+    size, or without `out` into one (rows, n) buffer that every block
+    reuses."""
+    stream, law, count = grower
+    rng = make_generator(seed, _STREAM_TREES, stream)
+    lo = 0
+    for tgt, nvert in _targets(rng, reps, n - 1, *law):
+        if out is None:  # sized by the first block, the largest
+            out = np.empty((len(tgt), n), dtype=np.int64)
+        block = out[lo : lo + len(tgt)]
+        count(tgt, nvert, block)
+        yield block
+        lo = (lo + len(tgt)) % len(out)  # the reused buffer starts over
+
+
 def _grow_batch(grower: tuple, seed: int, n: int, reps: int, record_all: bool) -> np.ndarray:
-    """The grower's statistic for `reps` replicates, one block of at most
-    _BLOCK draws at a time: shape (reps,) at size n, or (reps, n) with
-    record_all."""
+    """The grower's statistic for `reps` replicates: shape (reps,) at size
+    n, or (reps, n) with record_all."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    stream, law, count = grower
-    rng = make_generator(seed, _STREAM_TREES, stream)
     out = np.empty((reps, n) if record_all else reps, dtype=np.int64)
-    lo = 0
-    for tgt, nvert in _targets(rng, reps, n - 1, *law):
-        count(tgt, nvert, out[lo : lo + len(tgt)])
-        lo += len(tgt)
+    for _ in _grow_blocks(grower, seed, n, reps, out):
+        pass
     return out
+
+
+def _tv_of_growth(grower: tuple, seed: int, reps: int, model: ModelSpec, steps) -> np.ndarray:
+    """tv_against_chain of the grower's record_all table at n = len(steps),
+    with each block binned as it is counted: one block's rows are all it
+    holds, whatever `reps`."""
+    return _tv(_grow_blocks(grower, seed, len(steps), reps), model, steps)
 
 
 def _grow_one(
@@ -528,19 +550,26 @@ def tv_against_chain(stats: np.ndarray, model: ModelSpec, steps) -> np.ndarray:
         if not np.all(np.isfinite(stats) & (np.floor(stats) == stats)):
             raise ValueError("stats must hold whole numbers; got a non-integer or non-finite value")
         stats = stats.astype(np.int64)
-    reps = stats.shape[0]
+    rows = max(1, _BLOCK // len(steps))
+    return _tv((stats[lo : lo + rows] for lo in range(0, len(stats), rows)), model, steps)
+
+
+def _tv(blocks, model: ModelSpec, steps) -> np.ndarray:
+    """tv_against_chain of the table whose rows `blocks` yields, a block at
+    a time; each block is binned before the next is asked for."""
     pmfs = dist.pmf_snapshots(model, steps)
     size = np.array([pmfs[n].n for n in steps])
     start = np.cumsum(size + 1) - (size + 1)  # a column's support, then its overflow bin
     hist = np.zeros(start[-1] + size[-1] + 1, dtype=np.int64)
     k0 = [pmfs[n].k0 for n in steps]
-    rows = max(1, _BLOCK // len(steps))
-    for lo in range(0, reps, rows):
-        col = np.subtract(stats[lo : lo + rows], k0, dtype=np.int64)
+    reps = 0
+    for block in blocks:
+        col = np.subtract(block, k0, dtype=np.int64)
         # read as unsigned, a value below k0 lies above the support too
         np.minimum(col.view(np.uint64), size.astype(np.uint64), out=col.view(np.uint64))
         col += start
         hist += np.bincount(col.ravel(), minlength=len(hist))
+        reps += len(block)
     out = np.empty(len(steps))
     for i, n in enumerate(steps):
         counts = hist[start[i] : start[i] + size[i]]

@@ -179,6 +179,20 @@ def test_rate_above_the_old_bracket_cap(capsys):
     assert float(rows[0][2]) == pytest.approx(2.50655789732, abs=1e-11)
 
 
+def test_rate_at_alpha_past_the_square_overflow(capsys):
+    # sigma^2's (1 + alpha)^2 raised OverflowError from alpha = 1.3e154.
+    # For large alpha, I(x) = (1 - x) log(alpha) + c(x): at x = 1/2 both
+    # alphas give one c, below the straight line's (1/2) log(1/2)
+    cs = []
+    for alpha in ("1e200", "1e308"):
+        rc, out, err = run_cli(capsys, "rate", "--alpha", alpha, "--x-grid", "0.5")
+        assert rc == 0 and err == ""
+        _, _, rows = csv_body(out)
+        cs.append(float(rows[0][2]) - 0.5 * math.log(float(alpha)))
+    assert cs[0] == pytest.approx(cs[1], abs=1e-9)
+    assert -1.0 < cs[0] < 0.5 * math.log(0.5)
+
+
 def test_rate_grid_up_to_alpha_three_quarters(capsys):
     # lambda* runs up to 12.6 at x = 0.74: the upper tail of the general route
     rc, out, _ = run_cli(
@@ -229,6 +243,17 @@ def test_path_csv_files_per_target(capsys, tmp_path):
         rate_val = float(summary.split("rate=")[1].split()[0])
         assert cost == pytest.approx(rate_val, abs=1e-6)
         assert float(rows[-1][1]) == pytest.approx(float(x), abs=1e-6)
+
+
+@pytest.mark.parametrize("argv, alpha", [
+    (("--alpha", "1e308"), "1e+308"),  # once an OverflowError in sigma^2
+    (("--alpha", "1e16"), "1e+16"),  # once ran for hours
+    (("--model", "pa:beta=-0.999999"), "1000001.0"),
+])
+def test_path_refuses_alpha_above_the_cap(capsys, argv, alpha):
+    rc, out, err = run_cli(capsys, "path", *argv)
+    assert rc == 2 and out == ""
+    assert err == f"error: euler_solve takes time linear in alpha and refuses alpha > 10000; got alpha={alpha}\n"
 
 
 def test_path_refuses_two_targets_that_share_a_file(capsys, tmp_path, monkeypatch):

@@ -203,6 +203,9 @@ def test_euler_domain():
         euler_solve(2.0, 0.0)
     with pytest.raises(ValueError):
         euler_solve(2.0, 1.0)
+    # a solve costs time linear in alpha: refused above the cap
+    with pytest.raises(ValueError, match="refuses alpha > 10000; got alpha=10000.000000000002"):
+        euler_solve(math.nextafter(path_mod._ALPHA_MAX, math.inf), 0.5)
 
 
 @pytest.mark.parametrize("alpha", [1.01, 1.25, 1.5, 2.0, 3.0, 5.0, 20.0])

@@ -5,6 +5,7 @@ function."""
 import importlib
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 from scipy.optimize import brentq
@@ -185,6 +186,14 @@ def test_constants_formulas():
     assert mean_slope(3.0) == 0.75
     assert sigma_sq(2.0) == pytest.approx(1 / 9, abs=1e-15)
     assert sigma_sq(0.5) == pytest.approx(2 / 45, abs=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [1e100, 1.000001e100, 1e101, 1e103, 1e110, 1e154, 1e200, 1e308])
+def test_sigma_sq_for_huge_alpha(alpha):
+    # the denominator, about alpha^3, read inf from alpha = 5.6e102 (so
+    # sigma^2 read 0) and raised OverflowError from 1.3e154
+    a = Fraction(alpha)
+    assert sigma_sq(alpha) == pytest.approx(float(a * a / ((1 + a) ** 2 * (2 + a))), rel=1e-15, abs=0.0)
 
 
 def test_method_scope_and_validation():

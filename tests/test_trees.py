@@ -2,6 +2,7 @@
 agreement in distribution with the counting chain."""
 
 import re
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 
@@ -840,6 +841,57 @@ def test_tv_equals_the_per_column_loop():
     stats = batch_yule_cherries(12, 30_000, seed=3, record_all=True)
     want = _tv_reference(stats, model_from_name("yule"), list(range(1, 13)))
     assert np.array_equal(tv_against_chain(stats, model_from_name("yule"), range(1, 13)), want)
+
+
+# criterion 8's growers: the kernel's grower, its public batch run with
+# record_all, the chain preset and the chain step of its first size
+C8_GROWERS = [
+    ("yule", trees._YULE, lambda n, r, s: batch_yule_cherries(n, r, s, True), "yule", 1),
+    ("uniform", trees._recursive("uniform"),
+     lambda n, r, s: batch_recursive_leaves("uniform", n, r, s, True), "uniform", 1),
+    ("plane", trees._recursive("plane_oriented"),
+     lambda n, r, s: batch_recursive_leaves("plane_oriented", n, r, s, True), "plane_oriented", 1),
+    ("pa0", trees._pa(0.0), lambda n, r, s: batch_pa_leaves(0.0, n, r, s, True), "pa:beta=0", 1),
+    ("stirling", trees._STIRLING, lambda n, r, s: batch_stirling_plateaux(n, r, s, True),
+     "plane_oriented", 2),
+]
+
+
+@pytest.mark.parametrize("label, grower, grow, preset, first", C8_GROWERS, ids=[g[0] for g in C8_GROWERS])
+def test_streamed_tv_equals_the_table_tv(label, grower, grow, preset, first):
+    # two full blocks at n = 12 and a ragged third (Stirling, at n = 11,
+    # has one full block and a ragged second)
+    reps = 2 * (_BLOCK // 11) + 1000
+    steps = range(first, 13)
+    model = model_from_name(preset)
+    want = tv_against_chain(grow(len(steps), reps, 9), model, steps)
+    assert np.array_equal(trees._tv_of_growth(grower, 9, reps, model, steps), want)
+
+
+def _peak_bytes(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_tv_holds_one_block_whatever_reps():
+    grower, model, steps = trees._recursive("uniform"), model_from_name("uniform"), range(1, 13)
+    trees._tv_of_growth(grower, 3, 10, model, steps)  # the pmf snapshots, outside the peaks
+
+    def streamed(reps):
+        return _peak_bytes(lambda: trees._tv_of_growth(grower, 3, reps, model, steps))
+
+    def table(reps):
+        return _peak_bytes(lambda: tv_against_chain(batch_recursive_leaves("uniform", 12, reps, 3, True),
+                                                    model, steps))
+
+    mib = 1 << 20
+    assert abs(streamed(300_000) - streamed(100_000)) <= mib
+    # the table alone grows by 200_000 x 12 x 8 bytes, 18.3 MiB
+    assert table(300_000) - table(100_000) >= 15 * mib
 
 
 @pytest.mark.parametrize(
