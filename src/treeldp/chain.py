@@ -70,10 +70,12 @@ DEFAULT_SEED = 20260819
 # and the chain draws never share randomness
 _STREAM_ENV = 101
 _STREAM_SIM = 202
-# coins per block of chain-walker steps (drawn as 512 KiB of 32-bit
-# halves, held as 1 MiB of doubles): few enough handoffs to _ahead's worker
-# that the overlap pays; 1 << 18 walks no faster
-_SIM_BLOCK = 1 << 17
+# draws per block of every blocked kernel, read at each call: the walker's
+# coins (512 KiB of 32-bit halves, held as 1 MiB of doubles), simulate's
+# steps, the growers' uniforms and the TV harness's values.  Peak memory
+# follows it, not reps * n, and it leaves few enough handoffs to _ahead's
+# worker that the overlap pays; 1 << 18 walks and grows no faster
+_BLOCK = 1 << 17
 # a coin is uniform on the integers 0 .. 2^32 - 1
 _COINS = 2.0**32
 
@@ -423,15 +425,15 @@ def _reachable(k0: int, s: np.ndarray, first: int = 1) -> np.ndarray:
 def simulate(model: ModelSpec, n: int, seed: int = DEFAULT_SEED) -> Trajectory:
     """Full path Z_1..Z_n; deterministic given seed.  _walk's chain for one
     replicate, stepped in a scalar loop on the same coins and thresholds,
-    _SIM_BLOCK steps at a time as Python numbers."""
+    _BLOCK steps at a time as Python numbers."""
     if n < 1:
         raise ValueError("n must be >= 1")
     svals = _reachable(model.k0, model.slopes.values_float(max(n - 1, 1)))[: n - 1]
     draw = _coins(make_generator(seed, _STREAM_SIM))
     vals = np.empty(n, dtype=np.int64)
     z = vals[0] = model.k0
-    for i in range(0, n - 1, _SIM_BLOCK):
-        s = svals[i : i + _SIM_BLOCK]
+    for i in range(0, n - 1, _BLOCK):
+        s = svals[i : i + _BLOCK]
         block = []
         for u, s_j, scale in zip(draw(s.shape).tolist(), s.tolist(), _coin_scale(s).tolist()):
             z += u < _threshold(s_j, scale, z)
@@ -516,7 +518,7 @@ def _walk(rng: np.random.Generator, k0: int, n: int, reps: int, slopes, record: 
         raise ValueError("n must be >= 1")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    rows = max(1, _SIM_BLOCK // reps)
+    rows = max(1, _BLOCK // reps)
     if callable(slopes):
         blocks = slopes(rows)
     else:

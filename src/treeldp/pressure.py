@@ -34,14 +34,10 @@ __all__ = [
     "sigma_sq",
 ]
 
-# rate's Newton solve clamps every trial lambda to here, below lambda = 709
-# where e^lambda overflows, and refuses x whose lambda* lies above it; below
-# lambda = 0 it steps outward until it brackets lambda*
-_BRACKET_CAP = 512.0
-# The route sums the log-case series at and below
-# _SERIES_SWITCH, where hyp2f1 loses digits (1e-9 off at lambda = -20, inf
-# from -30), and the series in 1/c above log 3 (c > 2, ratio <= 1/2), where
-# hyp2f1's 1/z transformation loses digits for alpha near an integer.
+# The route sums the log-case series at and below _SERIES_SWITCH, where
+# hyp2f1 loses digits (1e-9 off at lambda = -20, inf from -30), and the
+# series in 1/c above log 3 (c > 2, ratio <= 1/2), where hyp2f1's 1/z
+# transformation loses digits for alpha near an integer.
 _SERIES_SWITCH = -3.0
 _LN2 = math.log(2.0)
 _LN3 = math.log(3.0)
@@ -59,7 +55,8 @@ _TINY = 1e-17  # relative size of the last series term kept
 # mpmath on lambda in [-30, 30], 8e-13 at alpha = 1e-2, 1.04e-10 at 1e-4
 # (lambda = -2.2745), 7e-10 at 1e-5; below 2^-53 the log series divides by 0
 _ALPHA_MIN = 1e-4
-# e^lambda overflows a double above log(DBL_MAX) ~ 709.78
+# e^lambda overflows a double above log(DBL_MAX) ~ 709.78: rate's Newton
+# solve clamps every trial lambda to here and refuses x whose lambda* is above
 _LAMBDA_MAX = math.log(sys.float_info.max)
 
 
@@ -360,8 +357,8 @@ def rate(ev: PressureEval, x: float) -> RatePoint:
         r = d1 - x
         best = min(best, (abs(r), lam, lam_val))
         if r < 0.0:
-            if lam >= _BRACKET_CAP:
-                raise ValueError(f"lambda* above {_BRACKET_CAP:g}: x={x} too close to the upper edge")
+            if lam >= _LAMBDA_MAX:
+                raise ValueError(f"lambda* above {_LAMBDA_MAX:.2f}: x={x} too close to the upper edge")
             lo = lam
         else:
             hi = lam
@@ -380,7 +377,7 @@ def rate(ev: PressureEval, x: float) -> RatePoint:
                 trial = min(2.0 * hi, -1.0)
             else:
                 trial = 0.5 * (lo + hi)
-        lam, r_prev = min(trial, _BRACKET_CAP), r
+        lam, r_prev = min(trial, _LAMBDA_MAX), r
         lam_val, d1, d2 = _general(a, lam)
     _, lam_star, lam_val = best
     return RatePoint(x, lam_star, lam_star * x - lam_val)

@@ -33,7 +33,7 @@ from functools import partial
 import numpy as np
 from scipy.special import ndtr
 
-from . import dist
+from . import chain, dist
 from .chain import (
     DEFAULT_SEED,
     ModelSpec,
@@ -99,8 +99,6 @@ def _coerce_pmf(pmf_like) -> tuple:
 
 # ---------------------------------------------------------- first-hit kernel
 
-_BLOCK = 1 << 18  # draws per block of replicates: peak memory follows this, not reps * n
-
 # A law is (copies, v0, dv): step m draws one uniform over m - 1 copy units
 # (when `copies`) and v0 + dv*m vertices of one weight each (1 unless given).
 _UNIFORM = (False, 0, 1)  # one of m vertices, or of m Yule leaf slots
@@ -112,10 +110,10 @@ _GAPS = (False, 1, 2)  # one of the 2m + 1 gaps of a Stirling permutation
 def _targets(rng, reps: int, steps: int, copies: bool, v0: int, dv: int, weight: float = 1.0,
              resolve: bool = False):
     """Targets of steps m = 1..steps for `reps` replicates, as pairs of a
-    block of shape (rows, steps), at most _BLOCK draws, and the number of
-    vertices after the last step, nvert = v0 + dv*steps.  The uniforms of
-    the next block are drawn on a worker thread while the caller works on
-    the current one (chain._ahead); a single block starts no thread.
+    block of shape (rows, steps), at most chain._BLOCK draws, and the
+    number of vertices after the last step, nvert = v0 + dv*steps.  The
+    uniforms of the next block are drawn on a worker thread while the
+    caller works on the current one (chain._ahead); one block starts none.
 
     Copy unit r takes the target of step r + 1.  A vertex has one degree
     unit per earlier step that chose it, so copies plus `weight` per vertex
@@ -129,7 +127,7 @@ def _targets(rng, reps: int, steps: int, copies: bool, v0: int, dv: int, weight:
     nvert = v0 + dv * m
     total, cap = ncopy + nvert * weight, nvert - 1
     dummy = v0 + dv * steps  # one past the last vertex
-    rows = max(1, _BLOCK // max(steps, 1))
+    rows = max(1, chain._BLOCK // max(steps, 1))
     sizes = [(min(rows, reps - lo), steps) for lo in range(0, reps, rows)]
     with closing(_ahead(rng.random, sizes)) as draws:
         for u in draws:
@@ -246,8 +244,8 @@ def _pa(beta: float) -> tuple:
 
 
 def _grow_blocks(grower: tuple, seed: int, n: int, reps: int, out: np.ndarray | None = None):
-    """Count the grower's statistic for `reps` replicates, one block of at
-    most _BLOCK draws at a time, and yield each block as it is counted:
+    """Count the grower's statistic for `reps` replicates, one block of
+    at most chain._BLOCK draws at a time, and yield each block as counted:
     into its rows of `out`, shape (reps,) at size n or (reps, n) at every
     size, or without `out` into one (rows, n) buffer that every block
     reuses."""
@@ -537,8 +535,8 @@ def tv_against_chain(stats: np.ndarray, model: ModelSpec, steps) -> np.ndarray:
     n the i-th column corresponds to.
 
     One histogram holds every column: its support, then one overflow bin
-    for the values outside it, filled a block of at most _BLOCK values at
-    a time."""
+    for the values outside it, filled a block of at most chain._BLOCK
+    values at a time."""
     steps = list(steps)
     stats = np.asarray(stats)
     if stats.ndim != 2 or stats.shape[1] != len(steps) or stats.shape[0] == 0:
@@ -550,7 +548,7 @@ def tv_against_chain(stats: np.ndarray, model: ModelSpec, steps) -> np.ndarray:
         if not np.all(np.isfinite(stats) & (np.floor(stats) == stats)):
             raise ValueError("stats must hold whole numbers; got a non-integer or non-finite value")
         stats = stats.astype(np.int64)
-    rows = max(1, _BLOCK // len(steps))
+    rows = max(1, chain._BLOCK // len(steps))
     return _tv((stats[lo : lo + rows] for lo in range(0, len(stats), rows)), model, steps)
 
 

@@ -4,18 +4,12 @@ import threading
 
 import pytest
 
-# modules whose tests run kernels that draw on worker threads: the chain
-# walker and the growers, directly or through the CLI and verify
-_THREAD_CHECKED = {"test_chain.py", "test_trees.py", "test_cli.py", "test_acceptance.py"}
-
 
 @pytest.fixture(autouse=True)
-def _no_thread_left_behind(request):
-    """Fail a test that runs the chain walker or the growers and ends with
-    more live threads than it started with."""
-    if request.node.path.name not in _THREAD_CHECKED:
-        yield
-        return
+def _no_thread_left_behind():
+    """Fail a test that ends with more live threads than it started with:
+    the chain walker and the growers draw on worker threads (chain._ahead),
+    whichever module's test reaches them."""
     before = threading.active_count()
     yield
     left = threading.active_count() - before

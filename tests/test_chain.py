@@ -482,8 +482,8 @@ def test_ahead_starts_a_thread_only_for_two_blocks(monkeypatch):
     assert pools == []
     # two or more blocks: one pool of one worker per call
     assert len(list(chain._ahead(rng.random, [4, 4]))) == 2
-    simulate_endpoints(model_from_name("uniform"), 6, chain._SIM_BLOCK + 1, 2)
-    batch_pa_leaves(1.0, 40, trees._BLOCK, 3)
+    simulate_endpoints(model_from_name("uniform"), 6, chain._BLOCK + 1, 2)
+    batch_pa_leaves(1.0, 40, chain._BLOCK, 3)
     assert pools == [1, 1, 1]
 
 
@@ -496,11 +496,11 @@ def test_a_walk_left_early_leaves_no_thread_behind():
     assert threading.active_count() == baseline
     # a walk that draws one step per block, left at step 2 by its slopes
     def slopes(rows):
-        yield np.ones((rows, 2 * chain._SIM_BLOCK))
+        yield np.ones((rows, 2 * chain._BLOCK))
         raise RuntimeError("slopes failed")
 
     with pytest.raises(RuntimeError, match="slopes failed"):
-        chain._walk(make_generator(3), 1, 6, 2 * chain._SIM_BLOCK, slopes)
+        chain._walk(make_generator(3), 1, 6, 2 * chain._BLOCK, slopes)
     assert threading.active_count() == baseline
 
 

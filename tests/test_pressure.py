@@ -168,8 +168,9 @@ def test_rate_reaches_the_far_lower_tail():
 
 
 def test_rate_upper_bracket_reaches_its_cap():
-    # the solve clamps its trials to lambda = 512: lambda* = 1/(1 - x) = 33.3
-    # at alpha = 1, x = 0.97, beyond the old refusal at 32
+    # the solve clamps its trials to lambda = log(DBL_MAX) ~ 709.78:
+    # lambda* = 1/(1 - x) = 33.3 at alpha = 1, x = 0.97, beyond the old
+    # refusal at 32
     pt = rate(PressureEval(1.0), 0.97)
     assert pt.lambda_star == pytest.approx(100.0 / 3.0, rel=1e-12)
     assert pt.rate == pytest.approx(2.50655789732, abs=1e-11)
@@ -178,8 +179,28 @@ def test_rate_upper_bracket_reaches_its_cap():
     assert pressure_derivatives(PressureEval(0.75), pt.lambda_star)[0] == pytest.approx(0.74995, rel=1e-15)
     assert 0.0 < pt.rate < math.log(3 * math.pi / (2 * math.sqrt(2)))
     # beyond the cap the refusal names it: lambda* = 1000 at alpha = 1
-    with pytest.raises(ValueError, match="lambda\\* above 512: x=0.999 "):
+    with pytest.raises(ValueError, match="lambda\\* above 709.78: x=0.999 "):
         rate(PressureEval(1.0), 0.999)
+
+
+@pytest.mark.parametrize("x", [0.9981, 0.9985])
+def test_rate_answers_up_to_the_lambda_ceiling(x):
+    # at alpha = 1, Lambda' = 1/(1 - e^-lambda) - 1/lambda, so lambda* =
+    # 1/(1 - x) up to e^-lambda*: 526.3 and 666.7, which the old cap at
+    # lambda = 512 refused
+    ev = PressureEval(1.0)
+    pt = rate(ev, x)
+    assert pt.lambda_star == pytest.approx(1.0 / (1.0 - x), rel=1e-12)
+    assert abs(pressure_derivatives(ev, pt.lambda_star)[0] - x) <= 1e-15
+    assert pt.rate == pytest.approx(pt.lambda_star * x - pressure(ev, pt.lambda_star), rel=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.5, 3.0, 50.0])
+def test_derivatives_at_the_lambda_ceiling(alpha):
+    # rate's trials stop at _LAMBDA_MAX, so the route must answer there
+    d1, d2 = pressure_derivatives(PressureEval(alpha), pressure_mod._LAMBDA_MAX)
+    assert math.isfinite(d1) and math.isfinite(d2)
+    assert 0.0 < d1 <= min(alpha, 1.0)
 
 
 def test_constants_formulas():

@@ -28,12 +28,13 @@ from treeldp import (
     grow_stirling,
     grow_yule,
     model_from_name,
+    simulate,
     simulate_endpoints,
     tv_against_chain,
     verify_clt,
 )
-from treeldp.chain import make_generator
-from treeldp.trees import _BLOCK, _STREAM_TREES, _ks_normal
+from treeldp.chain import _BLOCK, make_generator
+from treeldp.trees import _STREAM_TREES, _ks_normal
 
 GAMMA_HALF = {1: 0.5, 2: 0.5}
 
@@ -717,7 +718,7 @@ def _bud_lln_reference(beta, gamma_pmf, n, reps, seed):
     return z
 
 
-# the walker's block shrunk so that every shape below costs little:
+# the block budget shrunk so that every shape below costs little:
 # (n, reps): reps = 1 walks _SMALL_BLOCK steps per block (one block, then
 # two), reps >= _SMALL_BLOCK one step per block, reps = 30 34 steps per
 # block with a ragged last block, and reps = 3 341 steps per block, an odd
@@ -729,7 +730,7 @@ WALKER_SHAPES = ((1, 3), (2, 1), (200, 1), (_SMALL_BLOCK + 10, 1), (40, _SMALL_B
 
 @pytest.fixture
 def small_block(monkeypatch):
-    monkeypatch.setattr(chain, "_SIM_BLOCK", _SMALL_BLOCK)
+    monkeypatch.setattr(chain, "_BLOCK", _SMALL_BLOCK)
 
 
 @pytest.mark.usefixtures("small_block")
@@ -921,6 +922,68 @@ def test_tv_refuses_floats_that_are_not_counts(bad):
 def test_bud_lln_quick():
     z = bud_lln_endpoints(0.0, GAMMA_HALF, 2000, 300, seed=3)
     assert abs(float(np.mean(z)) / 2000 - 0.75) <= 0.01
+
+
+# ------------------------------------------------------- one block budget
+
+# draws per block under the shrink: every kernel below splits into ragged
+# blocks, and the walker's odd coin counts (999, or 3 rows of 333) leave
+# half a Philox word to the next block.  At the default budget each kernel
+# below takes one block.
+_SHRUNK = 999
+BLOCKED_KERNELS = {
+    "simulate": lambda: simulate(model_from_name("plane_oriented"), 2500, 4).values,
+    "simulate_endpoints": lambda: simulate_endpoints(model_from_name("uniform"), 41, 333, 4),
+    "bud_lln_endpoints": lambda: bud_lln_endpoints(0.5, {1: 0.2, 3: 0.8}, 41, 333, 6),
+    "tv_against_chain": lambda: tv_against_chain(
+        np.random.default_rng(7).integers(-1, 9, (333, 12)), model_from_name("yule"), range(1, 13)),
+}
+for label, grow, _, _ in BATCH_GROWERS:
+    for record_all in (False, True):
+        BLOCKED_KERNELS[f"{label}-{record_all}"] = partial(grow, 12, 333, 5, record_all)
+for label, grower, _, preset, first in C8_GROWERS:
+    BLOCKED_KERNELS[f"streamed-tv-{label}"] = partial(
+        trees._tv_of_growth, grower, 9, 333, model_from_name(preset), range(first, 13))
+
+
+def _logged_blocks(monkeypatch):
+    """Log the size of every block the kernels draw (the walker's and
+    simulate's coins, the growers' uniforms) and of every block the TV
+    harness bins, each in draws or values."""
+    draws, binned = [], []
+
+    def logged(draw):
+        def run(size):
+            draws.append(int(np.prod(size)))
+            return draw(size)
+        return run
+
+    def logged_blocks(blocks):
+        for block in blocks:
+            binned.append(block.size)
+            yield block
+
+    coins, ahead, tv = chain._coins, trees._ahead, trees._tv
+    monkeypatch.setattr(chain, "_coins", lambda rng: logged(coins(rng)))
+    monkeypatch.setattr(trees, "_ahead", lambda draw, sizes: ahead(logged(draw), sizes))
+    monkeypatch.setattr(trees, "_tv", lambda blocks, *args: tv(logged_blocks(blocks), *args))
+    return draws, binned
+
+
+@pytest.mark.parametrize("run", BLOCKED_KERNELS.values(), ids=BLOCKED_KERNELS.keys())
+def test_one_shrink_of_the_block_budget_splits_every_kernel_bit_for_bit(run, monkeypatch):
+    draws, binned = _logged_blocks(monkeypatch)
+    want = run()
+    assert len(draws or binned) == 1
+    draws.clear()
+    binned.clear()
+    monkeypatch.setattr(chain, "_BLOCK", _SHRUNK)
+    got = run()
+    # a grower's streamed TV bins whole rows of its blocks, so its draws,
+    # not its binned values, keep to the budget
+    blocks = draws or binned
+    assert len(blocks) > 1 and max(blocks) <= _SHRUNK
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 # ------------------------------------------------------------ CLT harness
