@@ -958,7 +958,7 @@ def _logged_blocks(monkeypatch):
             return draw(size)
         return run
 
-    def logged_blocks(blocks):
+    def binning(blocks):
         for block in blocks:
             binned.append(block.size)
             yield block
@@ -966,7 +966,7 @@ def _logged_blocks(monkeypatch):
     coins, ahead, tv = chain._coins, trees._ahead, trees._tv
     monkeypatch.setattr(chain, "_coins", lambda rng: logged(coins(rng)))
     monkeypatch.setattr(trees, "_ahead", lambda draw, sizes: ahead(logged(draw), sizes))
-    monkeypatch.setattr(trees, "_tv", lambda blocks, *args: tv(logged_blocks(blocks), *args))
+    monkeypatch.setattr(trees, "_tv", lambda blocks, *args: tv(binning(blocks), *args))
     return draws, binned
 
 
