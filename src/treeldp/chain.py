@@ -39,6 +39,7 @@ stepping.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -91,17 +92,18 @@ def make_generator(seed: int, *stream: int) -> np.random.Generator:
 
 
 def _as_number(x, arg: str) -> Fraction | float:
-    """Keep rationals exact; leave non-rational floats alone; refuse values
-    that are not finite doubles, naming the argument `arg`."""
-    if isinstance(x, (int, Fraction, str)):
-        try:
-            x = Fraction(x)
+    """Keep rationals exact and take other reals as floats, numpy's included;
+    refuse values that are not finite doubles, naming the argument `arg`."""
+    if isinstance(x, (numbers.Rational, str)):
+        try:  # int(): a Fraction of a numpy integer keeps its fixed width
+            x = Fraction(int(x) if isinstance(x, numbers.Integral) else x)
         except ZeroDivisionError:
             raise ValueError(f"{arg} has a zero denominator, got {x!r}") from None
         if abs(x) > np.finfo(float).max:
             raise ValueError(f"{arg} must fit in a double, |{arg}| <= 1.8e308")
         return x
-    if isinstance(x, float):
+    if isinstance(x, numbers.Real):
+        x = float(x)
         if not math.isfinite(x):
             raise ValueError(f"{arg} must be finite, got {x}")
         if x == int(x):
@@ -120,7 +122,10 @@ def _exact_quotient(numerator, bound: int, den: int, *ints: np.ndarray) -> np.nd
     integer division does the rounding, element by element."""
     if not (bound < _EXACT_INT and den < _EXACT_INT):
         ints = [a.astype(object) for a in ints]
-    return np.asarray(numerator(*ints) / den, dtype=float)
+    try:
+        return np.asarray(numerator(*ints) / den, dtype=float)
+    except OverflowError:  # Python's division refuses a quotient beyond a double
+        raise ValueError("a slope s_n exceeds the largest double, 1.8e308") from None
 
 
 @dataclass(frozen=True)

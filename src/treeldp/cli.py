@@ -39,7 +39,10 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError("grid endpoints and step must be finite")
     if step <= 0 or stop < start:
         raise ValueError("grid needs step > 0 and stop >= start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9  # inf when stop - start overflows
+    if span >= 1e6:  # the grid is built as a list
+        raise ValueError("grid must have at most 1000000 points")
+    count = int(math.floor(span)) + 1
     return [start + i * step for i in range(count)]
 
 
@@ -119,10 +122,6 @@ class _Tee:
     def write(self, text):
         for s in self.streams:
             s.write(text)
-
-    def flush(self):
-        for s in self.streams:
-            s.flush()
 
 
 def _add_common(sp, *names):

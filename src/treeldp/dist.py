@@ -223,8 +223,6 @@ class RootReport:
     zero_root_multiplicity: int
     cofactor_degree: int
     distinct_negative_roots: int
-    all_negative_simple: bool
-    monomial: bool
     note: str = ""
 
 
@@ -308,8 +306,8 @@ def certify_real_rooted(poly: ExactPoly) -> RootReport:
     stripping the u^m factor, the cofactor must have as many distinct
     negative roots as its degree (hence all real, simple, negative).
     Strict sign alternation at separating rationals shows that at once;
-    otherwise a Sturm count decides.  Monomial p_n (stationary prefixes,
-    k0 = 0 starts) are reported as their own case."""
+    otherwise a Sturm count decides.  A monomial p_n (stationary prefixes,
+    k0 = 0 starts) is certified with cofactor_degree 0 and a note."""
     fracs = [Fraction(c) for c in poly.coeffs]
     scale = math.lcm(*(c.denominator for c in fracs))
     coeffs = [c.numerator * (scale // c.denominator) for c in fracs]
@@ -331,7 +329,5 @@ def certify_real_rooted(poly: ExactPoly) -> RootReport:
         zero_root_multiplicity=mult,
         cofactor_degree=cof_deg,
         distinct_negative_roots=neg,
-        all_negative_simple=ok,
-        monomial=cof_deg == 0,
         note=note,
     )

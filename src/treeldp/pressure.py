@@ -105,10 +105,16 @@ class PressureEval:
 
 
 def _from_g(lam_val: float, g: list[float]) -> tuple[float, float, float]:
-    # Lambda' < 1 since Z_n <= n; where G1 and G0 agree to the last bits
-    # (alpha > 1, lambda >~ 70) their ratio can round a few ulps above it
+    # Lambda' <= 1 since Z_n <= n, and Lambda'' >= 0 as a limit of variances;
+    # in the upper tail, where their terms cancel, each can round past it
     d1 = min(g[1] / g[0], 1.0)
-    return lam_val, d1, d1 - 2.0 * g[2] / g[0] + d1 * d1
+    return lam_val, d1, max(d1 - 2.0 * g[2] / g[0] + d1 * d1, 0.0)
+
+
+def _minus_log(alpha: float, g0: float) -> float:
+    """Lambda = -log(alpha G0), by parts where the product overflows."""
+    prod = alpha * g0
+    return -math.log(prod) if prod < math.inf else -(math.log(alpha) + math.log(g0))
 
 
 def _log_series(alpha: float, lam: float) -> tuple[float, list[float]]:
@@ -130,7 +136,7 @@ def _log_series(alpha: float, lam: float) -> tuple[float, list[float]]:
         g1 += a1
         g2 += a2
         if n > 0 and abs(a0) <= _TINY * abs(g0) and abs(a1) <= _TINY * abs(g1) and abs(a2) <= _TINY * abs(g2):
-            return -math.log(alpha * g0), [g0, g1, g2]
+            return _minus_log(alpha, g0), [g0, g1, g2]
         n += 1
         d += 1.0 / n - 1.0 / (alpha + n - 1.0)
         w *= (alpha + n - 1.0) * q / n
@@ -271,7 +277,7 @@ def _laplace_series(alpha: float, lam: float) -> tuple[float, list[float]]:
             if abs(term) + abs(coef[n - 1] * lap) <= _TINY * rest:
                 break
         g.append(pole + rest * q**m)
-    return -math.log(alpha * g[0]), g
+    return _minus_log(alpha, g[0]), g
 
 
 def _general(alpha: float, lam: float) -> tuple[float, float, float]:

@@ -77,11 +77,10 @@ class GrowthResult:
 
 @dataclass(frozen=True)
 class StatReport:
-    """CLT summary for Z_n/n samples: empirical_mean is the mean of
-    Z_n/n, empirical_var the variance of (Z_n - E Z_n)/sqrt(n), and
-    ks_distance the KS statistic against N(0, sigma^2)."""
+    """CLT summary: empirical_mean is the mean of Z_n/n; clt_stat_sample
+    holds (Z_n - E Z_n)/sqrt(n), one per replicate, empirical_var their
+    variance and ks_distance their KS statistic against N(0, sigma^2)."""
 
-    replicates: int
     empirical_mean: float
     empirical_var: float
     clt_stat_sample: np.ndarray
@@ -238,8 +237,7 @@ def _recursive(kind: str) -> tuple:
 
 
 def _pa(beta: float) -> tuple:
-    if not -1 < beta < math.inf:
-        raise ValueError("beta must be finite and > -1")
+    PrefAttachSlope(beta)  # refuses beta as the pa: preset does
     return 6, _PA + (1.0 + float(beta),), partial(_unhit, base=2)
 
 
@@ -460,7 +458,7 @@ def batch_pa_buds(
     stage-1 bud-vs-non-bud coin, so the vertex bookkeeping of stage 2 is
     marginalized out: one walker coin a step."""
     slopes = RandomizedPASlope(beta, *_coerce_pmf(gamma_pmf), seed)
-    svals = slopes.values_float(max(n - 1, 1)).tolist()
+    svals = slopes.values_float(max(n - 1, 1))
     return _walk(make_generator(seed, _STREAM_TREES, _BUDS), 2, n, reps, svals, record_all)
 
 
@@ -515,16 +513,11 @@ def verify_clt(model: ModelSpec, n: int, reps: int, seed: int = DEFAULT_SEED) ->
         mean = 1.0 + mean * (1.0 - 1.0 / svals[m - 1])
     samples = (z - mean) / math.sqrt(n)
     sigma = math.sqrt(sigma_sq(model.alpha))
-    if reps > 1 and np.ptp(samples) > 0:
-        ks = _ks_normal(samples, sigma)
-    else:
-        ks = 1.0
     return StatReport(
-        replicates=reps,
         empirical_mean=float(np.mean(z)) / n,
         empirical_var=float(np.var(samples, ddof=1)) if reps > 1 else 0.0,
         clt_stat_sample=samples,
-        ks_distance=ks,
+        ks_distance=_ks_normal(samples, sigma) if reps > 1 and np.ptp(samples) > 0 else 1.0,
     )
 
 

@@ -174,6 +174,26 @@ def test_preset_constructors_build_affine_slopes():
         model_from_name("pa:beta=-1")
 
 
+def test_numpy_numbers_are_the_python_numbers_they_equal():
+    # numpy integers stay exact rationals, with Python's unbounded integers:
+    # 2^62 n would wrap in int64 from n = 2
+    big = LinearSlope(np.int64(2**62))
+    assert big == LinearSlope(2**62) and big.value(4) == 2**64
+    assert AffineSlope(np.int32(2), 0, "x") == AffineSlope(2, 0, "x")
+    assert LinearSlope(np.float32(0.5)) == LinearSlope(0.5)
+    # a numpy float is taken as its double
+    assert LinearSlope(np.float32(0.1)) == LinearSlope(float(np.float32(0.1)))
+    assert type(LinearSlope(np.float64(0.3)).a) is float
+    for bad in (np.float32(np.nan), np.float64(np.inf)):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            LinearSlope(bad)
+    with pytest.raises(TypeError, match="unsupported numeric type"):
+        LinearSlope(np.bool_(True))
+    # a slope beyond a double is refused by name, not an OverflowError
+    with pytest.raises(ValueError, match="exceeds the largest double"):
+        LinearSlope(10**308).values_float(2)
+
+
 def test_float_beta_keeps_the_seed_slope_exact():
     # rounding a = 2.3/1.3 and b = 0.3/1.3 separately gives s_1 < 2
     slopes = chain.PrefAttachSlope(0.3)

@@ -91,12 +91,23 @@ def test_model_supplies_alpha(capsys):
 
 
 @pytest.mark.parametrize(
-    "grid", ["1:0:0.5", "0:1:-0.5", "0:1:0", "a:b:c", "1:2", "nan:1:0.1"]
+    "grid", ["1:0:0.5", "0:1:-0.5", "0:1:0", "a:b:c", "1:2", "nan:1:0.1",
+             # more points than a list should hold: once built until memory
+             # ran out, or an OverflowError when stop - start overflows
+             "710:1e308:100", "0:1:1e-6", "-1e308:1e308:1"]
 )
 def test_bad_grids_exit_2(capsys, grid):
     rc, _, err = run_cli(capsys, "pressure", "--alpha", "2", "--lambda-grid", grid)
     assert rc == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["pmf", "simulate"])
+def test_a_slope_beyond_a_double_exits_2(capsys, command):
+    # s_2 = 2e308: the exact slopes' integer division raised OverflowError
+    rc, out, err = run_cli(capsys, command, "--model", "linear:alpha=1e308", "--n", "3")
+    assert rc == 2 and out == ""
+    assert err == "error: a slope s_n exceeds the largest double, 1.8e308\n"
 
 
 def test_missing_alpha_and_model_exit_2(capsys):

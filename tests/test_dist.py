@@ -225,7 +225,6 @@ def test_certificate_simple_factorization():
     assert rep.zero_root_multiplicity == 1
     assert rep.cofactor_degree == 1
     assert rep.distinct_negative_roots == 1
-    assert rep.all_negative_simple
 
 
 def test_certificate_rejects_complex_roots():
@@ -276,15 +275,15 @@ REFUSED = "cofactor has complex, positive, or repeated roots"
     "poly, fields",
     [
         # (u+1)^2 (u+2): two distinct negative roots, one repeated
-        (_u_poly(2, 5, 4, 1), (False, 0, 3, 2, False, False, REFUSED)),
+        (_u_poly(2, 5, 4, 1), (False, 0, 3, 2, REFUSED)),
         # (u-1)(u+2): one negative root, one positive
-        (_u_poly(-2, 1, 1), (False, 0, 2, 1, False, False, REFUSED)),
+        (_u_poly(-2, 1, 1), (False, 0, 2, 1, REFUSED)),
         # u(u^2+1): a zero root and a complex pair
-        (_u_poly(0, 1, 0, 1), (False, 1, 2, 0, False, False, REFUSED)),
+        (_u_poly(0, 1, 0, 1), (False, 1, 2, 0, REFUSED)),
         # u(u+1)(u+2)/6 with plain int coefficients, scaled by 6
-        (ExactPoly(4, 0, (0, 2, 3, 1)), (True, 1, 2, 2, True, False, "")),
+        (ExactPoly(4, 0, (0, 2, 3, 1)), (True, 1, 2, 2, "")),
         # (u+1/2)(u+1/3) u^2: distinct denominators
-        (_u_poly(0, 0, Fraction(1, 6), Fraction(5, 6), 1), (True, 2, 2, 2, True, False, "")),
+        (_u_poly(0, 0, Fraction(1, 6), Fraction(5, 6), 1), (True, 2, 2, 2, "")),
     ],
 )
 def test_certificate_report_fields(poly, fields):
@@ -294,8 +293,6 @@ def test_certificate_report_fields(poly, fields):
         rep.zero_root_multiplicity,
         rep.cofactor_degree,
         rep.distinct_negative_roots,
-        rep.all_negative_simple,
-        rep.monomial,
         rep.note,
     ) == fields
 
@@ -307,7 +304,7 @@ def test_certificate_rejects_zero_polynomial():
 
 def test_certificate_monomial_case():
     rep = certify_real_rooted(exact_poly(model_from_name("plane_oriented"), 2))
-    assert rep.certified and rep.monomial
+    assert rep.certified and rep.cofactor_degree == 0
 
 
 def test_certificate_plane_n10():
@@ -369,10 +366,10 @@ def _sturm_report(poly):
     every cofactor goes through the Sturm count."""
     mult, coeffs = _cofactor(poly)
     if len(coeffs) == 1:
-        return dist.RootReport(True, mult, 0, 0, True, True, "monomial: all mass at one state (stationary prefix)")
+        return dist.RootReport(True, mult, 0, 0, "monomial: all mass at one state (stationary prefix)")
     neg, squarefree = dist._negative_roots(coeffs)
     ok = squarefree and neg == len(coeffs) - 1
-    return dist.RootReport(ok, mult, len(coeffs) - 1, neg, ok, False, "" if ok else REFUSED)
+    return dist.RootReport(ok, mult, len(coeffs) - 1, neg, "" if ok else REFUSED)
 
 
 @pytest.mark.parametrize("preset", ["uniform", "plane_oriented", "yule", "pa:beta=0", "pa:beta=1"])

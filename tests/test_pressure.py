@@ -167,6 +167,24 @@ def test_rate_reaches_the_far_lower_tail():
             assert pt.rate > 0.0
 
 
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 20.0])
+def test_pressure_where_alpha_g0_passes_the_largest_double(alpha):
+    # Lambda = -log(alpha G0) read -inf once the product overflowed.  Far
+    # down, Lambda' ~ 1/(d - lambda), so halving lambda raises Lambda by log 2
+    ev = PressureEval(alpha)
+    assert pressure(ev, -1e308) == pytest.approx(pressure(ev, -5e307) - math.log(2.0), rel=1e-14)
+    assert pressure(ev, -1.7e308) < pressure(ev, -1e308)
+
+
+def test_rate_at_the_largest_alpha_is_finite_in_the_lower_tail():
+    # above alpha ~ 2e306 alpha G0 overflowed from lambda ~ -785, and I(x)
+    # read +inf for x <= 0.05 at alpha = 1e308
+    ev = PressureEval(1e308)
+    assert math.isfinite(pressure(ev, -800.0))
+    for x in (1e-15, 1e-3, 0.05):
+        assert 0.0 < rate(ev, x).rate < math.inf
+
+
 def test_rate_upper_bracket_reaches_its_cap():
     # the solve clamps its trials to lambda = log(DBL_MAX) ~ 709.78:
     # lambda* = 1/(1 - x) = 33.3 at alpha = 1, x = 0.97, beyond the old
@@ -614,6 +632,16 @@ def test_curvature_is_finite_and_nonnegative_in_the_upper_tail():
     for lam in (40.0, 200.0, 700.0):
         d2 = pressure_derivatives(ev, lam)[1]
         assert math.isfinite(d2) and d2 >= 0.0, lam
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.75, 0.9, 1.5, 3.0, 50.0])
+def test_curvature_is_never_negative(alpha):
+    # Lambda'' = Lambda' + Lambda'^2 - 2 G2/G0 cancels in the upper tail and
+    # read down to -6.9e-17 (alpha = 0.3, from lambda = 52.5) and -6.7e-16
+    # (alpha = 50, from 33) on this grid before it was clamped at 0
+    ev = PressureEval(alpha)
+    for lam in (k / 2 for k in range(-1400, 1420)):  # -700 .. 709.5
+        assert pressure_derivatives(ev, lam)[1] >= 0.0, lam
 
 
 def test_general_route_at_half_in_the_upper_tail():

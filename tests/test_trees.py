@@ -1,6 +1,7 @@
 """Tree growers: exact small-case laws, structural bookkeeping, and
 agreement in distribution with the counting chain."""
 
+import itertools
 import re
 import tracemalloc
 from fractions import Fraction
@@ -166,6 +167,75 @@ def test_every_history_reproduces_the_exact_chain_law(start, moves, stat, preset
         level = grown
 
 
+# The growers' kernel as coded, at every size n <= 6: one row of uniforms
+# per sequence of unit choices (copy units included), each the midpoint of
+# its unit's interval, through the real block loop, _targets and count,
+# each row weighted by its exact probability.  Buds are left out: their
+# 32-bit coins match the chain only to within n 2^-32.
+
+
+class _Midpoints:
+    """Stands in for a grower's generator: random(size) hands out the next
+    rows of the enumerated uniforms."""
+
+    def __init__(self, u):
+        self.u, self.lo = u, 0
+
+    def random(self, size):
+        rows = self.u[self.lo : self.lo + size[0]]
+        self.lo += len(rows)
+        return rows.copy()  # _targets scales its block in place
+
+
+def _unit_rows(copies, v0, dv, weight, steps):
+    """(midpoint uniforms, one row per sequence of unit choices; the number
+    of vertex units each row picks; the product of the steps' totals).
+    A copy unit weighs 1 and a vertex unit `weight`."""
+    per_step, denom = [], 1
+    for m in range(1, steps + 1):
+        ncopy, nvert = (m - 1 if copies else 0), v0 + dv * m
+        total = ncopy + nvert * weight
+        per_step.append([(float((k + Fraction(1, 2)) / total), 0) for k in range(ncopy)]
+                        + [(float((ncopy + (v + Fraction(1, 2)) * weight) / total), 1) for v in range(nvert)])
+        denom *= total
+    rows = list(itertools.product(*per_step))
+    u = np.array([[x for x, _ in row] for row in rows])
+    return u, np.array([sum(vert for _, vert in row) for row in rows]), denom
+
+
+KERNEL_LAWS = {
+    # name: (grower, chain preset, chain step of its first size, vertex weight 1 + beta)
+    "uniform leaves": (trees._recursive("uniform"), "uniform", 1, 1),
+    "plane-oriented leaves": (trees._recursive("plane_oriented"), "plane_oriented", 1, 1),
+    "Yule cherries": (trees._YULE, "yule", 1, 1),
+    "Stirling plateaux": (trees._STIRLING, "plane_oriented", 2, 1),
+    **{f"PA leaves beta={b}": (trees._pa(b), f"pa:beta={b}", 1, 1 + b)
+       for b in (Fraction(0), Fraction(1), Fraction(-1, 2))},
+}
+
+
+@pytest.mark.parametrize("grower, preset, first, weight", KERNEL_LAWS.values(), ids=list(KERNEL_LAWS))
+def test_every_unit_sequence_through_the_kernel_gives_the_exact_chain_law(
+    monkeypatch, grower, preset, first, weight
+):
+    n = 6
+    u, nvert_picks, denom = _unit_rows(*grower[1][:3], weight, n - 1)
+    monkeypatch.setattr(trees, "make_generator", lambda *key: _Midpoints(u))
+    table = trees._grow_batch(grower, DEFAULT_SEED, n, len(u), True)
+    monkeypatch.setattr(chain, "_BLOCK", 1000)  # the endpoints in many blocks
+    np.testing.assert_array_equal(trees._grow_batch(grower, DEFAULT_SEED, n, len(u), False), table[:, -1])
+    model = model_from_name(preset)
+    # rows picking the same number of vertex units weigh the same
+    prob = {e: Fraction(weight) ** e / denom for e in set(nvert_picks.tolist())}
+    for j in range(n):
+        want = dist.exact_poly(model, j + first).coeffs
+        assert table[:, j].max() < len(want)
+        law = [Fraction(0)] * len(want)
+        for e, k in zip(nvert_picks.tolist(), table[:, j].tolist()):
+            law[k] += prob[e]
+        assert tuple(law) == want, j + 1
+
+
 # Every public batch function and walker, and the slope constructors, with
 # one argument out of its domain: each refuses with a ValueError that names
 # that argument, never a bare numpy error, a ZeroDivisionError or a value.
@@ -191,6 +261,8 @@ REFUSALS = (
     + [(f"{name} reps={r}", partial(run, 10, r), "reps") for name, run in SIZED.items() for r in (0, -1)]
     + [(f"{name} beta={b}", partial(run, b), "beta")
        for name, run in BETA_TAKERS.items() for b in (np.nan, np.inf, -1.0)]
+    + [(f"{name} beta={b!r}", partial(run, b), "beta")
+       for name, run in BETA_TAKERS.items() for b in (np.int64(-1), np.float32(np.inf))]
     + [(f"gamma weight {w}", partial(batch_pa_buds, 0.0, {1: w, 2: 0.5}, 10, 5), "gamma")
        for w in (np.nan, np.inf)]
     + [(f"LinearSlope({a})", partial(LinearSlope, a), "alpha") for a in (np.nan, np.inf)]
@@ -206,6 +278,17 @@ REFUSALS = (
 def test_out_of_domain_arguments_are_refused_by_name(run, arg):
     with pytest.raises(ValueError, match=rf"\b{arg}\b"):
         run()
+
+
+@pytest.mark.parametrize("beta", [np.int64(1), np.int32(2), np.int64(0), np.float64(0.5), np.float32(-0.25)],
+                         ids=repr)
+@pytest.mark.parametrize("name", list(BETA_TAKERS))
+def test_numpy_betas_are_taken_as_the_python_numbers_they_equal(name, beta):
+    got, want = BETA_TAKERS[name](beta), BETA_TAKERS[name](beta.item())
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    else:  # a GrowthResult or AffineSlope: equal fields include the label
+        assert got == want
 
 
 def test_overflowing_gamma_weights_are_refused_without_a_warning():
@@ -1010,7 +1093,6 @@ def test_ks_distance_matches_scipy_kstest():
 
 def test_verify_clt_plane():
     rep = verify_clt(model_from_name("plane_oriented"), 3000, 2000, seed=8)
-    assert rep.replicates == 2000
     assert abs(rep.empirical_mean - 2 / 3) <= 0.01
     assert abs(rep.empirical_var - 1 / 9) <= 0.25 / 9
     assert rep.ks_distance < 0.05
