@@ -238,7 +238,7 @@ def _recursive(kind: str) -> tuple:
 
 def _pa(beta: float) -> tuple:
     PrefAttachSlope(beta)  # refuses beta as the pa: preset does
-    return 6, _PA + (1.0 + float(beta),), partial(_unhit, base=2)
+    return 6, _PA + (1.0 + float(chain._as_number(beta, "beta")),), partial(_unhit, base=2)
 
 
 def _grow_blocks(grower: tuple, seed: int, n: int, reps: int, out: np.ndarray | None = None):

@@ -167,10 +167,11 @@ def test_rate_reaches_the_far_lower_tail():
             assert pt.rate > 0.0
 
 
-@pytest.mark.parametrize("alpha", [0.5, 2.0, 20.0])
+@pytest.mark.parametrize("alpha", [2.0, 20.0])
 def test_pressure_where_alpha_g0_passes_the_largest_double(alpha):
-    # Lambda = -log(alpha G0) read -inf once the product overflowed.  Far
-    # down, Lambda' ~ 1/(d - lambda), so halving lambda raises Lambda by log 2
+    # Lambda = -log(alpha G0) read -inf once the product overflowed, from
+    # lambda ~ -DBL_MAX/alpha.  Far down, Lambda' ~ 1/(d - lambda), so
+    # halving lambda raises Lambda by log 2
     ev = PressureEval(alpha)
     assert pressure(ev, -1e308) == pytest.approx(pressure(ev, -5e307) - math.log(2.0), rel=1e-14)
     assert pressure(ev, -1.7e308) < pressure(ev, -1e308)

@@ -291,6 +291,14 @@ def test_numpy_betas_are_taken_as_the_python_numbers_they_equal(name, beta):
         assert got == want
 
 
+def test_pa_leaves_take_every_beta_the_pa_preset_takes():
+    # one beta rule: PrefAttachSlope parses and refuses beta for the batch too
+    want = batch_pa_leaves(Fraction(1, 2), 10, 5)
+    for beta in ("1/2", "0.5", 0.5, np.float32(0.5)):
+        assert np.array_equal(batch_pa_leaves(beta, 10, 5), want)
+    assert grow_pa_graph("1/2", 10) == grow_pa_graph(Fraction(1, 2), 10)
+
+
 def test_overflowing_gamma_weights_are_refused_without_a_warning():
     # the weights are finite, their sum is not; the refusal comes before any
     # RuntimeWarning (which the test configuration turns into an error)
